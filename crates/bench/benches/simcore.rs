@@ -6,7 +6,7 @@ use std::rc::Rc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wcs_simcore::dist::{Distribution, Zipf};
 use wcs_simcore::stats::Histogram;
-use wcs_simcore::{EpochArena, EventQueue, QueueKind, SimRng, SimTime};
+use wcs_simcore::{EpochArena, EventQueue, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
@@ -60,30 +60,27 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// Queue-kind occupancy sweep: the calendar wheel is built for deep
-/// queues, the heap for shallow ones, and `auto` should track whichever
-/// is better at each depth. Spread scales with depth so slot density
-/// (and therefore cascade behaviour) stays representative.
-fn bench_queue_kinds(c: &mut Criterion) {
+/// Occupancy sweep: the heap serves shallow queues and the calendar
+/// wheel deep ones, and depth routing should track whichever is better
+/// at each depth. Spread scales with depth so slot density (and
+/// therefore cascade behaviour) stays representative.
+fn bench_queue_occupancy(c: &mut Criterion) {
     for &(label, n) in &[("1k", 1_000u64), ("100k", 100_000), ("1m", 1_000_000)] {
-        for kind in QueueKind::ALL {
-            let name = format!("queue_{}_push_pop_{label}", kind.as_str());
-            c.bench_function(&name, |b| {
-                let mut rng = SimRng::seed_from(42);
-                let spread = n * 1_000;
-                b.iter(|| {
-                    let mut q = EventQueue::with_capacity_and_kind(n as usize, kind);
-                    for i in 0..n {
-                        q.schedule(SimTime::from_nanos(rng.next_u64() % spread), i);
-                    }
-                    let mut sum = 0u64;
-                    while let Some((_, e)) = q.pop() {
-                        sum = sum.wrapping_add(e);
-                    }
-                    black_box(sum)
-                })
-            });
-        }
+        c.bench_function(&format!("queue_push_pop_{label}"), |b| {
+            let mut rng = SimRng::seed_from(42);
+            let spread = n * 1_000;
+            b.iter(|| {
+                let mut q = EventQueue::with_capacity(n as usize);
+                for i in 0..n {
+                    q.schedule(SimTime::from_nanos(rng.next_u64() % spread), i);
+                }
+                let mut sum = 0u64;
+                while let Some((_, e)) = q.pop() {
+                    sum = sum.wrapping_add(e);
+                }
+                black_box(sum)
+            })
+        });
     }
 }
 
@@ -135,7 +132,7 @@ fn bench_histogram(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
-    bench_queue_kinds,
+    bench_queue_occupancy,
     bench_arena,
     bench_zipf,
     bench_histogram

@@ -18,11 +18,6 @@
 //! * `--task-budget-ms N` arms the watchdog: any sweep cell running
 //!   longer than `N` wall-clock milliseconds is cancelled cooperatively
 //!   and reported as a degraded cell instead of stalling the run.
-//! * `--queue {heap,calendar,auto}` selects the event-queue scheduler
-//!   for every simulation in the process: the 4-ary heap, the calendar
-//!   wheel, or occupancy-based selection (the default). All three pop
-//!   the same total order, so this is an A/B performance dial, not a
-//!   results dial.
 //! * `--scenario NAME` narrows scenario-aware binaries to one registered
 //!   workload (paper suite, `faas`, `dag-analytics`, or anything
 //!   registered at startup). An unknown name is a usage error (exit 2)
@@ -68,7 +63,7 @@ use std::process::exit;
 use wcs_core::evaluate::EvalBuilder;
 use wcs_core::{Evaluator, ResilienceSpec, WcsError};
 use wcs_simcore::obs::Registry;
-use wcs_simcore::{QueueKind, ThreadPool};
+use wcs_simcore::ThreadPool;
 use wcs_workloads::registry;
 use wcs_workloads::{ScenarioSpec, TrafficPack};
 
@@ -135,10 +130,6 @@ pub struct BenchArgs {
     /// if any. Cells exceeding it are cancelled cooperatively and
     /// reported as degraded.
     pub task_budget_ms: Option<u64>,
-    /// Event-queue scheduler selected by `--queue` (default:
-    /// [`QueueKind::Auto`]). [`parse`] installs it as the process-wide
-    /// default before any simulation constructs a queue.
-    pub queue: QueueKind,
     /// Registered workload selected by `--scenario NAME`, if any. The
     /// name was validated against the registry at parse time.
     pub scenario: Option<String>,
@@ -341,12 +332,9 @@ pub fn ensure_standard_series(registry: &Registry) {
 }
 
 /// Parses `std::env::args()`, exiting with status 2 on a malformed
-/// command line. Installs the parsed `--queue` kind as the process-wide
-/// event-queue default, so every simulation the binary runs uses it.
+/// command line.
 pub fn parse() -> BenchArgs {
-    let args = parse_from(std::env::args().skip(1));
-    wcs_simcore::event::set_default_queue_kind(args.queue);
-    args
+    parse_from(std::env::args().skip(1))
 }
 
 /// Parses an explicit argument stream (testable form of [`parse`]).
@@ -360,7 +348,6 @@ pub fn try_parse_from(args: impl Iterator<Item = String>) -> Result<BenchArgs, W
     let mut seed = None;
     let mut resume = None;
     let mut task_budget_ms = None;
-    let mut queue = QueueKind::default();
     let mut scenario = None;
     let mut traffic = None;
     let mut resilience = false;
@@ -416,12 +403,6 @@ pub fn try_parse_from(args: impl Iterator<Item = String>) -> Result<BenchArgs, W
                 ));
             }
             task_budget_ms = Some(ms);
-        } else if let Some(v) = valued("--queue")? {
-            queue = QueueKind::parse(&v).ok_or_else(|| {
-                WcsError::Cli(format!(
-                    "--queue expects one of heap, calendar, auto; got {v:?}"
-                ))
-            })?;
         } else if let Some(v) = valued("--scenario")? {
             if !registry::contains(&v) {
                 return Err(WcsError::UnknownScenario {
@@ -466,7 +447,6 @@ pub fn try_parse_from(args: impl Iterator<Item = String>) -> Result<BenchArgs, W
         seed,
         resume,
         task_budget_ms,
-        queue,
         scenario,
         traffic,
         resilience,
@@ -482,7 +462,7 @@ fn parse_from(args: impl Iterator<Item = String>) -> BenchArgs {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: <bin> [--threads N] [--no-memo] [--seed S] [--metrics PATH] \
-                 [--resume JOURNAL] [--task-budget-ms N] [--queue heap|calendar|auto] \
+                 [--resume JOURNAL] [--task-budget-ms N] \
                  [--scenario NAME] [--traffic steady|diurnal|flash-crowd|failover-surge] \
                  [--resilience] [--retry-budget RATIO] [args...]"
             );
@@ -577,18 +557,6 @@ mod tests {
         let eval = a.eval_builder().quick().build().unwrap();
         let wd = eval.watchdog.as_deref().expect("watchdog armed");
         assert_eq!(wd.budget(), std::time::Duration::from_millis(5000));
-    }
-
-    #[test]
-    fn queue_flag_parses_and_rejects_unknown_kinds() {
-        let a = try_parse_from(strs(&[])).unwrap();
-        assert_eq!(a.queue, QueueKind::Auto, "auto is the default");
-        let b = try_parse_from(strs(&["--queue", "heap"])).unwrap();
-        assert_eq!(b.queue, QueueKind::Heap);
-        let c = try_parse_from(strs(&["--queue=calendar"])).unwrap();
-        assert_eq!(c.queue, QueueKind::Calendar);
-        assert!(try_parse_from(strs(&["--queue", "splay"])).is_err());
-        assert!(try_parse_from(strs(&["--queue"])).is_err());
     }
 
     #[test]

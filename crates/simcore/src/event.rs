@@ -1,7 +1,6 @@
 //! Deterministic future-event list.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::error::ConfigError;
 use crate::SimTime;
@@ -22,95 +21,8 @@ impl<E> Scheduled<E> {
     }
 }
 
-/// Which ordering structure an [`EventQueue`] uses for events that miss
-/// the epoch buffer.
-///
-/// Every kind pops the exact same `(when, seq)` order — the choice only
-/// affects wall-clock cost, never simulation results. `Auto` is the
-/// default: it runs on the heap at low occupancy (where sift costs are
-/// trivial and the wheel's fixed overheads are not amortized) and
-/// switches new inserts to the calendar wheel once the pending set is
-/// deep enough for bucketing to win.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Indexed 4-ary min-heap only (the pre-calendar scheduler).
-    Heap,
-    /// Hierarchical timing wheel, with the heap kept as an overflow lane
-    /// for events outside the wheel horizon.
-    Calendar,
-    /// Occupancy-based routing: heap below [`AUTO_WHEEL_MIN_DEPTH`]
-    /// pending events, calendar wheel above.
-    #[default]
-    Auto,
-}
-
-impl QueueKind {
-    /// Every kind, in CLI presentation order.
-    pub const ALL: [QueueKind; 3] = [QueueKind::Heap, QueueKind::Calendar, QueueKind::Auto];
-
-    /// The CLI spelling of this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QueueKind::Heap => "heap",
-            QueueKind::Calendar => "calendar",
-            QueueKind::Auto => "auto",
-        }
-    }
-
-    /// Parses a CLI spelling (`heap`, `calendar`, `auto`).
-    pub fn parse(s: &str) -> Option<QueueKind> {
-        match s {
-            "heap" => Some(QueueKind::Heap),
-            "calendar" => Some(QueueKind::Calendar),
-            "auto" => Some(QueueKind::Auto),
-            _ => None,
-        }
-    }
-
-    fn to_u8(self) -> u8 {
-        match self {
-            QueueKind::Heap => 0,
-            QueueKind::Calendar => 1,
-            QueueKind::Auto => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> QueueKind {
-        match v {
-            0 => QueueKind::Heap,
-            1 => QueueKind::Calendar,
-            _ => QueueKind::Auto,
-        }
-    }
-}
-
-impl std::fmt::Display for QueueKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// Process-wide default scheduler kind, read by [`EventQueue::new`] and
-/// [`EventQueue::with_capacity`]. Studies construct queues deep inside
-/// engine code, so the `--queue` bench flag sets this once instead of
-/// threading a parameter through every constructor. Because all kinds
-/// pop identically, flipping the default mid-run can never change
-/// simulation output — only wall time and the `queue.calendar_hits` /
-/// `queue.heap_fallbacks` diagnostics.
-static DEFAULT_QUEUE_KIND: AtomicU8 = AtomicU8::new(2);
-
-/// Sets the process-wide default [`QueueKind`] for new queues.
-pub fn set_default_queue_kind(kind: QueueKind) {
-    DEFAULT_QUEUE_KIND.store(kind.to_u8(), Ordering::Relaxed);
-}
-
-/// The process-wide default [`QueueKind`] (initially [`QueueKind::Auto`]).
-pub fn default_queue_kind() -> QueueKind {
-    QueueKind::from_u8(DEFAULT_QUEUE_KIND.load(Ordering::Relaxed))
-}
-
-/// Pending-event depth at which [`QueueKind::Auto`] starts routing new
-/// inserts to the calendar wheel instead of the heap.
+/// Pending-event depth at which new inserts that miss the epoch buffer
+/// route to the calendar wheel instead of the heap.
 ///
 /// Tuned from the steady-state occupancy sweep (spread timestamps, pop +
 /// reschedule): the heap wins clearly below depth 8 (31M vs 25M events/s
@@ -330,25 +242,28 @@ impl<E> Wheel<E> {
 ///   by the `fast_path` statistic: runs of events landing on *one shared
 ///   instant* (identical batch tasks, fixed retry timeouts), and the
 ///   *pure event chain* — pop one event, schedule its successor, repeat.
-/// * **Calendar wheel (primary lane)** — a hierarchical timing wheel
+/// * **Calendar wheel** — a hierarchical timing wheel taking lane inserts
+///   once the queue is [`AUTO_WHEEL_MIN_DEPTH`] events deep
 ///   (6 levels × 64 slots, 1 ns granularity, `2^36` ns horizon) that
 ///   buckets events by timestamp: O(1) insert, cascade-amortized O(1)
 ///   pop, and same-instant events land in one level-0 slot in FIFO
 ///   order, which is what makes [`pop_epoch`](Self::pop_epoch) a slice
 ///   drain instead of repeated heap pops.
-/// * **Heap (overflow lane)** — the indexed 4-ary min-heap, retained in
-///   full as both the [`QueueKind::Heap`] implementation and the
-///   overflow lane for events the wheel cannot bucket (beyond its
-///   horizon, or below its advanced base).
+/// * **Heap** — the indexed 4-ary min-heap. It takes every lane insert
+///   while fewer than [`AUTO_WHEEL_MIN_DEPTH`] events are pending (where
+///   sift costs are trivial and the wheel's fixed overheads are not
+///   amortized), and serves as the wheel's overflow lane for events the
+///   wheel cannot bucket (beyond its horizon, or below its advanced
+///   base).
 ///
 /// [`with_capacity`](EventQueue::with_capacity) pre-sizes the heap arena
 /// so steady-state runs never reallocate.
 pub struct EventQueue<E> {
-    /// 4-ary min-heap on `(when, seq)`: the [`QueueKind::Heap`]
-    /// scheduler and the wheel's overflow lane.
+    /// 4-ary min-heap on `(when, seq)`: the shallow-queue lane and the
+    /// wheel's overflow lane.
     heap: Vec<Scheduled<E>>,
-    /// Hierarchical timing wheel (empty and unallocated under
-    /// [`QueueKind::Heap`]).
+    /// Hierarchical timing wheel (unallocated until the queue first runs
+    /// deep).
     wheel: Wheel<E>,
     /// FIFO of events all firing at the shared epoch `imm_time`. Every
     /// entry was sequenced after every lane entry with `when ==
@@ -361,7 +276,6 @@ pub struct EventQueue<E> {
     imm_time: SimTime,
     next_seq: u64,
     now: SimTime,
-    kind: QueueKind,
     /// Schedules that took an O(1) buffer path with no lane comparison:
     /// same-epoch appends, plus adoptions while the lanes were empty.
     fast_path: u64,
@@ -377,9 +291,7 @@ pub struct EventQueue<E> {
 /// Occupancy counters of an [`EventQueue`], exported to the
 /// observability layer after a run. Derived purely from the simulated
 /// event stream, so the values are bit-identical for identical runs at
-/// any thread count; `calendar_hits` / `heap_fallbacks` additionally
-/// depend on the configured [`QueueKind`] (routing diagnostics), while
-/// the other three are identical across kinds too.
+/// any thread count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueObs {
     /// Events scheduled over the queue's lifetime.
@@ -438,25 +350,14 @@ impl<E> Default for EventQueue<E> {
 const ARITY: usize = 4;
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue with the clock at [`SimTime::ZERO`], using
-    /// the process-wide default [`QueueKind`].
+    /// Creates an empty queue with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_kind(default_queue_kind())
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue pre-sized for `capacity` pending events, so
     /// a steady-state simulation never reallocates the event arena.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_capacity_and_kind(capacity, default_queue_kind())
-    }
-
-    /// Creates an empty queue with an explicit scheduler kind.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        Self::with_capacity_and_kind(0, kind)
-    }
-
-    /// Creates an empty pre-sized queue with an explicit scheduler kind.
-    pub fn with_capacity_and_kind(capacity: usize, kind: QueueKind) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
             wheel: Wheel::new(),
@@ -464,17 +365,11 @@ impl<E> EventQueue<E> {
             imm_time: SimTime::ZERO,
             next_seq: 0,
             now: SimTime::ZERO,
-            kind,
             fast_path: 0,
             calendar_hits: 0,
             heap_fallbacks: 0,
             max_depth: 0,
         }
-    }
-
-    /// The scheduler kind this queue was constructed with.
-    pub fn kind(&self) -> QueueKind {
-        self.kind
     }
 
     /// The instant of the most recently popped event (the simulation clock).
@@ -483,23 +378,19 @@ impl<E> EventQueue<E> {
     }
 
     /// True when both ordering lanes are empty (the epoch buffer may
-    /// still hold events). This is kind-independent — the lanes hold the
-    /// same *set* of events whichever way they are split — which keeps
-    /// the `fast_path` counter bit-identical across [`QueueKind`]s.
+    /// still hold events). Independent of how the lanes split their
+    /// events, so `fast_path` depends only on the event stream.
     #[inline]
     fn lanes_empty(&self) -> bool {
         self.heap.is_empty() && self.wheel.len == 0
     }
 
-    /// Routes a non-buffer schedule to the wheel or the heap.
+    /// Routes a non-buffer schedule by depth: the heap while the queue is
+    /// shallow, the wheel once it is [`AUTO_WHEEL_MIN_DEPTH`] deep (the
+    /// heap still taking what the wheel cannot bucket).
     #[inline]
     fn push_lane(&mut self, when: SimTime, seq: u64, payload: E) {
-        let want_wheel = match self.kind {
-            QueueKind::Heap => false,
-            QueueKind::Calendar => true,
-            QueueKind::Auto => self.len() >= AUTO_WHEEL_MIN_DEPTH,
-        };
-        if want_wheel {
+        if self.len() >= AUTO_WHEEL_MIN_DEPTH {
             if self.wheel.len == 0 {
                 self.wheel.rebase(self.now.as_nanos());
             }
@@ -558,8 +449,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Occupancy counters accumulated since construction; a pure
-    /// function of the simulated event stream (and, for the routing
-    /// diagnostics, the configured kind).
+    /// function of the simulated event stream.
     pub fn obs_stats(&self) -> QueueObs {
         QueueObs {
             scheduled: self.next_seq,
@@ -789,15 +679,13 @@ mod tests {
 
     #[test]
     fn ties_break_fifo() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_nanos(7);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind} broke FIFO");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_nanos(7);
+        for i in 0..100 {
+            q.schedule(t, i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, (0..100).collect::<Vec<_>>(), "broke FIFO");
     }
 
     #[test]
@@ -823,38 +711,34 @@ mod tests {
 
     #[test]
     fn try_schedule_reports_past_events() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), 1);
-            q.pop();
-            let err = q.try_schedule(SimTime::from_nanos(5), 2).unwrap_err();
-            assert!(matches!(
-                err,
-                ConfigError::PastEvent {
-                    when_ns: 5,
-                    now_ns: 10
-                }
-            ));
-            // The failed schedule left the queue untouched.
-            assert!(q.is_empty());
-            assert!(q.try_schedule(SimTime::from_nanos(10), 3).is_ok());
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3)));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), 1);
+        q.pop();
+        let err = q.try_schedule(SimTime::from_nanos(5), 2).unwrap_err();
+        assert!(matches!(
+            err,
+            ConfigError::PastEvent {
+                when_ns: 5,
+                now_ns: 10
+            }
+        ));
+        // The failed schedule left the queue untouched.
+        assert!(q.is_empty());
+        assert!(q.try_schedule(SimTime::from_nanos(10), 3).is_ok());
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 3)));
     }
 
     #[test]
     fn peek_len_clear() {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            assert!(q.is_empty());
-            assert_eq!(q.peek_time(), None);
-            q.schedule(SimTime::from_nanos(3), 1);
-            q.schedule(SimTime::from_nanos(1), 2);
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
-            q.clear();
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.schedule(SimTime::from_nanos(3), 1);
+        q.schedule(SimTime::from_nanos(1), 2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -878,20 +762,18 @@ mod tests {
     fn same_instant_fast_path_preserves_fifo() {
         // Mix buffered and lane entries at one instant: earlier-scheduled
         // must still pop first, wherever each entry landed internally.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(10), "a"); // starts the epoch buffer
-            q.schedule(SimTime::from_nanos(10), "b"); // same epoch: O(1) append
-            q.schedule(SimTime::from_nanos(20), "later"); // different time: lane
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
-            q.schedule(SimTime::from_nanos(10), "c");
-            q.schedule(SimTime::from_nanos(10), "d");
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "b")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "c")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "d")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "later")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(10), "a"); // starts the epoch buffer
+        q.schedule(SimTime::from_nanos(10), "b"); // same epoch: O(1) append
+        q.schedule(SimTime::from_nanos(20), "later"); // different time: lane
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "a")));
+        q.schedule(SimTime::from_nanos(10), "c");
+        q.schedule(SimTime::from_nanos(10), "d");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "b")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "c")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "d")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "later")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -920,33 +802,26 @@ mod tests {
         // The dominant single-client pattern: pop the only pending event,
         // schedule its successor at a strictly later (untied) time. The
         // buffer absorbs every schedule with the lanes empty throughout,
-        // so each one counts as a fast-path schedule — identically under
-        // every QueueKind.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(3), 0u64);
-            for i in 1..100u64 {
-                let (t, e) = q.pop().expect("chain event pending");
-                assert_eq!(e, i - 1);
-                q.schedule(t + crate::SimDuration::from_nanos(2 * i + 1), i);
-            }
-            assert_eq!(
-                q.obs_stats().fast_path,
-                100,
-                "every chain schedule is O(1) under {kind}"
-            );
-            // Once a second event makes a lane non-empty, adoption stops
-            // counting: ordering work is back on the table.
-            q.schedule(SimTime::from_nanos(1 << 40), 1000);
-            let (_, e) = q.pop().expect("pending");
-            assert_eq!(e, 99);
-            q.schedule(SimTime::from_nanos(1 << 41), 1001); // adopts, lane busy
-            assert_eq!(
-                q.obs_stats().fast_path,
-                100,
-                "lane-backed adoption is not fast"
-            );
+        // so each one counts as a fast-path schedule.
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(3), 0u64);
+        for i in 1..100u64 {
+            let (t, e) = q.pop().expect("chain event pending");
+            assert_eq!(e, i - 1);
+            q.schedule(t + crate::SimDuration::from_nanos(2 * i + 1), i);
         }
+        assert_eq!(q.obs_stats().fast_path, 100, "every chain schedule is O(1)");
+        // Once a second event makes a lane non-empty, adoption stops
+        // counting: ordering work is back on the table.
+        q.schedule(SimTime::from_nanos(1 << 40), 1000);
+        let (_, e) = q.pop().expect("pending");
+        assert_eq!(e, 99);
+        q.schedule(SimTime::from_nanos(1 << 41), 1001); // adopts, lane busy
+        assert_eq!(
+            q.obs_stats().fast_path,
+            100,
+            "lane-backed adoption is not fast"
+        );
     }
 
     #[test]
@@ -954,16 +829,14 @@ mod tests {
         // A lane entry at time T scheduled while the buffer held an
         // earlier epoch must pop before buffer entries from a *restarted*
         // epoch at T.
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_nanos(5), "early"); // epoch 5
-            q.schedule(SimTime::from_nanos(10), "lane@10"); // lane (epoch is 5)
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "early")));
-            q.schedule(SimTime::from_nanos(10), "buf@10"); // buffer restarts at 10
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "lane@10")));
-            assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "buf@10")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_nanos(5), "early"); // epoch 5
+        q.schedule(SimTime::from_nanos(10), "lane@10"); // lane (epoch is 5)
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), "early")));
+        q.schedule(SimTime::from_nanos(10), "buf@10"); // buffer restarts at 10
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "lane@10")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), "buf@10")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -971,33 +844,20 @@ mod tests {
         // Exhaustive order check against a naive (when, seq) reference
         // model, on a tie-heavy interleaved schedule/pop workload — the
         // pattern batch engines and fixed retry timeouts produce.
-        for kind in QueueKind::ALL {
-            let mut rng = crate::SimRng::seed_from(4242);
-            let mut q = EventQueue::with_kind(kind);
-            let mut model: Vec<(u64, u64)> = Vec::new(); // (when, seq)
-            let mut seq = 0u64;
-            let mut fast = 0u64;
-            for _ in 0..4000 {
-                if rng.chance(0.55) || q.is_empty() {
-                    // Few distinct offsets => many exact ties, some at `now`.
-                    let when = q.now().as_nanos() + [0u64, 3, 3, 7][rng.next_u64() as usize % 4];
-                    q.schedule(SimTime::from_nanos(when), seq);
-                    model.push((when, seq));
-                    seq += 1;
-                } else {
-                    let (t, e) = q.pop().unwrap();
-                    let min = model
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &k)| k)
-                        .map(|(i, _)| i)
-                        .unwrap();
-                    let want = model.remove(min);
-                    assert_eq!((t.as_nanos(), e), want, "pop order diverged from model");
-                }
-                fast = q.obs_stats().fast_path;
-            }
-            while let Some((t, e)) = q.pop() {
+        let mut rng = crate::SimRng::seed_from(4242);
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new(); // (when, seq)
+        let mut seq = 0u64;
+        let mut fast = 0u64;
+        for _ in 0..4000 {
+            if rng.chance(0.55) || q.is_empty() {
+                // Few distinct offsets => many exact ties, some at `now`.
+                let when = q.now().as_nanos() + [0u64, 3, 3, 7][rng.next_u64() as usize % 4];
+                q.schedule(SimTime::from_nanos(when), seq);
+                model.push((when, seq));
+                seq += 1;
+            } else {
+                let (t, e) = q.pop().unwrap();
                 let min = model
                     .iter()
                     .enumerate()
@@ -1005,11 +865,22 @@ mod tests {
                     .map(|(i, _)| i)
                     .unwrap();
                 let want = model.remove(min);
-                assert_eq!((t.as_nanos(), e), want, "drain order diverged from model");
+                assert_eq!((t.as_nanos(), e), want, "pop order diverged from model");
             }
-            assert!(model.is_empty());
-            assert!(fast > 0, "tie-heavy schedule must exercise the fast path");
+            fast = q.obs_stats().fast_path;
         }
+        while let Some((t, e)) = q.pop() {
+            let min = model
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, &k)| k)
+                .map(|(i, _)| i)
+                .unwrap();
+            let want = model.remove(min);
+            assert_eq!((t.as_nanos(), e), want, "drain order diverged from model");
+        }
+        assert!(model.is_empty());
+        assert!(fast > 0, "tie-heavy schedule must exercise the fast path");
     }
 
     #[test]
@@ -1058,19 +929,26 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Calendar-queue drop-in property tests: every kind must pop the
-    // exact (when, seq) order the heap kind pops, across random
+    // Drop-in property tests: the three lanes must pop the exact
+    // (when, seq) order of a naive reference model across random
     // interleavings, heavy ties, horizon overflow, and base-advance
     // insertions that tear events across the wheel and overflow lanes.
     // ------------------------------------------------------------------
 
-    /// Drives `q` and a heap-kind reference through an identical
-    /// scripted workload and asserts every pop matches.
-    fn assert_drop_in(script_seed: u64, spread: u64, kind: QueueKind) {
+    /// Removes and returns the smallest `(when, seq)` key of the model.
+    fn pop_model(model: &mut Vec<(u64, u64)>) -> Option<(u64, u64)> {
+        let min = model.iter().enumerate().min_by_key(|(_, &k)| k)?.0;
+        Some(model.remove(min))
+    }
+
+    /// Drives the queue and a naive `(when, seq)` model through an
+    /// identical scripted workload and asserts every pop matches.
+    fn assert_drop_in(script_seed: u64, spread: u64) {
         let mut rng = crate::SimRng::seed_from(script_seed);
-        let mut q = EventQueue::with_kind(kind);
-        let mut reference = EventQueue::with_kind(QueueKind::Heap);
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new();
         let mut id = 0u64;
+        let mut deepest = 0;
         for _ in 0..6000 {
             if rng.chance(0.55) || q.is_empty() {
                 // A mix of near ties, mid-range, and far-beyond-horizon
@@ -1082,45 +960,46 @@ mod tests {
                     6 => rng.next_u64() % (1 << 30),
                     _ => (1 << WHEEL_RANGE_BITS) + rng.next_u64() % 1000,
                 };
-                let when = SimTime::from_nanos(q.now().as_nanos() + offset);
-                q.schedule(when, id);
-                reference.schedule(when, id);
+                let when = q.now().as_nanos() + offset;
+                q.schedule(SimTime::from_nanos(when), id);
+                model.push((when, id));
                 id += 1;
             } else {
-                assert_eq!(q.pop(), reference.pop(), "{kind} diverged from heap");
+                let got = q.pop().map(|(t, e)| (t.as_nanos(), e));
+                assert_eq!(got, pop_model(&mut model), "diverged from the model");
             }
-            assert_eq!(q.len(), reference.len());
-            assert_eq!(q.peek_time(), reference.peek_time());
+            assert_eq!(q.len(), model.len());
+            let earliest = model.iter().map(|&(t, _)| t).min();
+            assert_eq!(q.peek_time().map(SimTime::as_nanos), earliest);
+            deepest = deepest.max(model.len() as u64);
         }
-        loop {
-            let (a, b) = (q.pop(), reference.pop());
-            assert_eq!(a, b, "{kind} drain diverged from heap");
-            if a.is_none() {
-                break;
-            }
+        while let Some(want) = pop_model(&mut model) {
+            let got = q.pop().map(|(t, e)| (t.as_nanos(), e));
+            assert_eq!(got, Some(want), "drain diverged from the model");
         }
-        let (mine, theirs) = (q.obs_stats(), reference.obs_stats());
-        assert_eq!(mine.scheduled, theirs.scheduled);
-        assert_eq!(mine.fast_path, theirs.fast_path, "fast_path kind-dependent");
-        assert_eq!(mine.max_depth, theirs.max_depth, "max_depth kind-dependent");
+        assert_eq!(q.pop(), None);
+        let stats = q.obs_stats();
+        assert_eq!(stats.scheduled, id);
+        assert_eq!(stats.max_depth, deepest);
+        assert!(stats.calendar_hits > 0 && stats.heap_fallbacks > 0);
     }
 
     #[test]
-    fn calendar_is_a_drop_in_for_the_heap() {
+    fn lanes_are_a_drop_in_for_the_reference_model() {
         for seed in [1u64, 7, 1234] {
             for spread in [50u64, 100_000, 1 << 34] {
-                assert_drop_in(seed, spread, QueueKind::Calendar);
-                assert_drop_in(seed, spread, QueueKind::Auto);
+                assert_drop_in(seed, spread);
             }
         }
     }
 
     #[test]
     fn calendar_rejects_past_events_like_the_heap() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         for i in 0..100u64 {
             q.schedule(SimTime::from_nanos(10 + i), i);
         }
+        assert!(q.obs_stats().calendar_hits > 0, "deep queue uses the wheel");
         q.pop();
         q.pop();
         let err = q.try_schedule(SimTime::from_nanos(3), 999).unwrap_err();
@@ -1128,12 +1007,21 @@ mod tests {
         assert_eq!(q.len(), 98, "failed schedule left the queue untouched");
     }
 
+    /// Pads `q` with [`AUTO_WHEEL_MIN_DEPTH`] events at `at`, so later
+    /// lane inserts see a deep queue: wheel first, heap as overflow.
+    fn pad<T: Copy>(q: &mut EventQueue<T>, at: u64, ballast: T) {
+        for _ in 0..AUTO_WHEEL_MIN_DEPTH {
+            q.schedule(SimTime::from_nanos(at), ballast);
+        }
+    }
+
     #[test]
     fn wheel_overflow_lane_handles_far_future() {
         // Events beyond the 2^36 ns horizon overflow to the heap lane
         // and must interleave correctly with wheel entries.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         let far = 1u64 << 40;
+        pad(&mut q, far + 2, "pad");
         q.schedule(SimTime::from_nanos(far), "far");
         q.schedule(SimTime::from_nanos(100), "near");
         q.schedule(SimTime::from_nanos(far + 1), "farther");
@@ -1142,22 +1030,27 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 1), "farther")));
         assert!(q.obs_stats().heap_fallbacks > 0, "overflow lane used");
         assert!(q.obs_stats().calendar_hits > 0, "wheel used");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 2), "pad")));
     }
 
     #[test]
     fn wheel_rebase_survives_long_simulations() {
         // Drain the wheel completely, jump the clock far past the old
-        // base, and keep scheduling: the empty wheel re-anchors instead
-        // of permanently overflowing to the heap.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        // base, and keep scheduling: the empty wheel re-anchors at the
+        // clock instead of permanently overflowing to the heap.
+        let mut q = EventQueue::new();
+        let far = 1u64 << 50; // far beyond the initial horizon
+        pad(&mut q, 2 * far, 9u64);
         q.schedule(SimTime::from_nanos(5), 0u64);
         q.schedule(SimTime::from_nanos(6), 1u64);
-        while q.pop().is_some() {}
-        let far = 1u64 << 50; // far beyond the initial horizon
-        q.schedule(SimTime::from_nanos(far), 2u64);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(5), 0)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(6), 1)));
+        q.schedule(SimTime::from_nanos(far), 2u64); // beyond horizon: heap
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), 2)));
+        let hits = q.obs_stats().calendar_hits;
         q.schedule(SimTime::from_nanos(far + 3), 3u64);
         q.schedule(SimTime::from_nanos(far + 1), 4u64);
-        assert_eq!(q.pop(), Some((SimTime::from_nanos(far), 2)));
+        assert_eq!(q.obs_stats().calendar_hits, hits + 2, "wheel re-anchored");
         assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 1), 4)));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(far + 3), 3)));
     }
@@ -1167,8 +1060,9 @@ mod tests {
         // Cascading can advance the wheel base ahead of `now`; an insert
         // between `now` and the advanced base cannot be bucketed and
         // must fall back to the heap lane — and still pop in order.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), "early"); // buffer epoch 10
+        pad(&mut q, 1 << 30, "pad"); // deepens the queue (heap, then wheel)
         q.schedule(SimTime::from_nanos(100_000), "late"); // wheel, level 2
                                                           // This pop cascades "late" down to level 0, advancing the wheel
                                                           // base to 100_000's window — far ahead of `now` (10).
@@ -1186,12 +1080,15 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_nanos(40), "buf")));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(50), "low")));
         assert_eq!(q.pop(), Some((SimTime::from_nanos(100_000), "late")));
+        for _ in 0..AUTO_WHEEL_MIN_DEPTH {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(1 << 30), "pad")));
+        }
         assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn auto_starts_on_heap_and_switches_to_wheel() {
-        let mut q = EventQueue::with_kind(QueueKind::Auto);
+    fn shallow_queue_uses_the_heap_and_deep_the_wheel() {
+        let mut q = EventQueue::new();
         // Below the depth threshold: heap only (plus buffer).
         for i in 0..(AUTO_WHEEL_MIN_DEPTH as u64 / 2) {
             q.schedule(SimTime::from_nanos(10 + 7 * i), i);
@@ -1223,51 +1120,49 @@ mod tests {
 
     #[test]
     fn pop_epoch_matches_pop_order() {
-        for kind in QueueKind::ALL {
-            let mut rng = crate::SimRng::seed_from(2024);
-            let mut a = EventQueue::with_kind(kind);
-            let mut b = EventQueue::with_kind(kind);
-            for id in 0..3000u64 {
-                let when = [0u64, 0, 3, 17, 1 << 20][rng.next_u64() as usize % 5];
-                let t = SimTime::from_nanos(a.now().as_nanos() + when);
-                a.schedule(t, id);
-                b.schedule(t, id);
-                if rng.chance(0.3) {
-                    if let Some((t, e)) = a.pop() {
-                        let mut epoch = Vec::new();
-                        // Single-event epochs via pop must match the head
-                        // of b's epoch; drain b one epoch at a time and
-                        // compare against a popped one-by-one.
-                        let bt = b.pop_epoch(&mut epoch).expect("same pending set");
-                        assert_eq!(t, bt);
-                        assert_eq!(e, epoch[0]);
-                        for want in &epoch[1..] {
-                            let (t2, e2) = a.pop().expect("epoch peer pending");
-                            assert_eq!(t2, bt);
-                            assert_eq!(e2, *want);
-                        }
+        let mut rng = crate::SimRng::seed_from(2024);
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        for id in 0..3000u64 {
+            let when = [0u64, 0, 3, 17, 1 << 20][rng.next_u64() as usize % 5];
+            let t = SimTime::from_nanos(a.now().as_nanos() + when);
+            a.schedule(t, id);
+            b.schedule(t, id);
+            if rng.chance(0.3) {
+                if let Some((t, e)) = a.pop() {
+                    let mut epoch = Vec::new();
+                    // Single-event epochs via pop must match the head
+                    // of b's epoch; drain b one epoch at a time and
+                    // compare against a popped one-by-one.
+                    let bt = b.pop_epoch(&mut epoch).expect("same pending set");
+                    assert_eq!(t, bt);
+                    assert_eq!(e, epoch[0]);
+                    for want in &epoch[1..] {
+                        let (t2, e2) = a.pop().expect("epoch peer pending");
+                        assert_eq!(t2, bt);
+                        assert_eq!(e2, *want);
                     }
                 }
             }
-            let mut epoch = Vec::new();
-            while let Some(t) = b.pop_epoch(&mut epoch) {
-                for want in &epoch {
-                    let (t2, e2) = a.pop().expect("epoch peer pending");
-                    assert_eq!(t2, t, "epoch time diverged under {kind}");
-                    assert_eq!(e2, *want, "epoch order diverged under {kind}");
-                }
-            }
-            assert_eq!(a.pop(), None, "pop lane had extra events under {kind}");
         }
+        let mut epoch = Vec::new();
+        while let Some(t) = b.pop_epoch(&mut epoch) {
+            for want in &epoch {
+                let (t2, e2) = a.pop().expect("epoch peer pending");
+                assert_eq!(t2, t, "epoch time diverged");
+                assert_eq!(e2, *want, "epoch order diverged");
+            }
+        }
+        assert_eq!(a.pop(), None, "pop lane had extra events");
     }
 
     #[test]
     fn pop_epoch_drains_ties_across_all_three_lanes() {
         // One instant torn across heap lane, wheel lane, and epoch
-        // buffer must come out as a single seq-ordered batch. Auto
+        // buffer must come out as a single seq-ordered batch. Depth
         // routing splits the lanes: shallow schedules hit the heap,
         // deep ones the wheel.
-        let mut q = EventQueue::with_kind(QueueKind::Auto);
+        let mut q = EventQueue::new();
         let t = SimTime::from_nanos(500);
         q.schedule(SimTime::from_nanos(100), 0u64); // adopts the buffer epoch
         let mut want = Vec::new();
@@ -1278,7 +1173,7 @@ mod tests {
             want.push(id);
             id += 1;
         }
-        // Fillers to push depth past the Auto threshold (later instant).
+        // Fillers to push depth past the wheel threshold (later instant).
         let mut fillers = 0;
         while q.len() < AUTO_WHEEL_MIN_DEPTH {
             q.schedule(SimTime::from_nanos(900), id);
@@ -1310,27 +1205,6 @@ mod tests {
         let mut epoch = vec![1, 2, 3];
         assert_eq!(q.pop_epoch(&mut epoch), None);
         assert!(epoch.is_empty(), "pop_epoch clears the scratch");
-    }
-
-    #[test]
-    fn queue_kind_parse_round_trips() {
-        for kind in QueueKind::ALL {
-            assert_eq!(QueueKind::parse(kind.as_str()), Some(kind));
-        }
-        assert_eq!(QueueKind::parse("fifo"), None);
-        assert_eq!(
-            QueueKind::from_u8(QueueKind::Calendar.to_u8()),
-            QueueKind::Calendar
-        );
-    }
-
-    #[test]
-    fn default_kind_is_process_configurable() {
-        let original = default_queue_kind();
-        set_default_queue_kind(QueueKind::Heap);
-        assert_eq!(EventQueue::<u8>::new().kind(), QueueKind::Heap);
-        set_default_queue_kind(original);
-        assert_eq!(EventQueue::<u8>::new().kind(), original);
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod watchdog;
 
 pub use arena::{ArenaSlice, EpochArena};
 pub use error::ConfigError;
-pub use event::{EventQueue, QueueKind};
+pub use event::EventQueue;
 pub use obs::Registry;
 pub use pool::ThreadPool;
 pub use rng::SimRng;

@@ -45,6 +45,7 @@ pub mod cluster;
 pub mod driver;
 mod engine;
 pub mod failover;
+mod kernel;
 pub mod openloop;
 mod request;
 pub mod resilience;

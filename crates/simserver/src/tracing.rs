@@ -2,15 +2,16 @@
 //!
 //! The aggregate [`RunStats`](crate::RunStats) answer "how fast"; traces
 //! answer "why": where each request spent its time, station by station.
-//! Tracing re-runs the engine logic with instrumented stages, so it is
-//! opt-in and meant for small diagnostic runs.
+//! Tracing is the closed loop of [`ServerSim`](crate::ServerSim) with a
+//! recorder hooked into every station visit, so it is opt-in and meant
+//! for small diagnostic runs.
 
-use std::collections::VecDeque;
+use wcs_simcore::{SimDuration, SimTime};
 
-use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime};
-
+use crate::cluster::{ClosedLoop, Recorder};
 use crate::engine::ServerSpec;
-use crate::request::{RequestSource, Resource, Stage};
+use crate::failover::ClusterFaults;
+use crate::request::{RequestSource, Resource};
 
 /// One stage visit in a request's life.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,6 +67,39 @@ impl RequestTrace {
     }
 }
 
+/// Records each completed request's timeline, up to `traced` of them.
+struct Tracer {
+    traces: Vec<RequestTrace>,
+    traced: usize,
+}
+
+impl Recorder for Tracer {
+    type Slot = Vec<StageVisit>;
+
+    fn on_start(
+        visits: &mut Vec<StageVisit>,
+        resource: Resource,
+        queued: SimDuration,
+        service: SimDuration,
+    ) {
+        visits.push(StageVisit {
+            resource,
+            queued,
+            service,
+        });
+    }
+
+    fn on_complete(&mut self, arrived: SimTime, visits: Vec<StageVisit>, completed: SimTime) {
+        if self.traces.len() < self.traced {
+            self.traces.push(RequestTrace {
+                arrived,
+                completed,
+                visits,
+            });
+        }
+    }
+}
+
 /// Runs a closed loop like
 /// [`ServerSim::run_closed_loop`](crate::ServerSim::run_closed_loop) but
 /// returns the full per-request timeline of the first `traced` completed
@@ -82,139 +116,22 @@ pub fn trace_closed_loop(
 ) -> Vec<RequestTrace> {
     assert!(n_clients > 0, "need at least one client");
     assert!(traced > 0, "need requests to trace");
-
-    struct InFlight {
-        stages: Vec<Stage>,
-        next_stage: usize,
-        arrived: SimTime,
-        enqueued_at: SimTime,
-        visits: Vec<StageVisit>,
-    }
-    #[derive(Clone, Copy)]
-    struct Done {
-        req: usize,
-        resource: Resource,
-    }
-
-    let servers_at = |r: Resource| -> u32 {
-        match r {
-            Resource::Cpu => spec.cores,
-            Resource::Memory => spec.memory_channels,
-            Resource::Disk => spec.disks,
-            Resource::Net => spec.nics,
-        }
+    let tracer = Tracer {
+        traces: Vec::with_capacity(traced as usize),
+        traced: traced as usize,
     };
-
-    let mut rng = SimRng::seed_from(seed);
-    let mut events: EventQueue<Done> = EventQueue::new();
-    let mut inflight: Vec<InFlight> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut queues: [VecDeque<usize>; 4] = Default::default();
-    let mut busy = [0u32; 4];
-    let mut traces: Vec<RequestTrace> = Vec::with_capacity(traced as usize);
-
-    macro_rules! try_start {
-        ($res:expr, $now:expr) => {{
-            let ri = $res.index();
-            while busy[ri] < servers_at($res) {
-                let Some(req) = queues[ri].pop_front() else {
-                    break;
-                };
-                busy[ri] += 1;
-                let inf = &mut inflight[req];
-                let service = inf.stages[inf.next_stage].service;
-                let queued = $now.saturating_sub(inf.enqueued_at);
-                inf.visits.push(StageVisit {
-                    resource: $res,
-                    queued,
-                    service,
-                });
-                events.schedule(
-                    $now + service,
-                    Done {
-                        req,
-                        resource: $res,
-                    },
-                );
-            }
-        }};
-    }
-
-    macro_rules! launch {
-        ($now:expr) => {{
-            loop {
-                let stages = source.next_request(&mut rng);
-                if stages.is_empty() {
-                    if (traces.len() as u64) < traced {
-                        traces.push(RequestTrace {
-                            arrived: $now,
-                            completed: $now,
-                            visits: Vec::new(),
-                        });
-                        continue;
-                    }
-                    break;
-                }
-                let slot = match free.pop() {
-                    Some(s) => s,
-                    None => {
-                        inflight.push(InFlight {
-                            stages: Vec::new(),
-                            next_stage: 0,
-                            arrived: SimTime::ZERO,
-                            enqueued_at: SimTime::ZERO,
-                            visits: Vec::new(),
-                        });
-                        inflight.len() - 1
-                    }
-                };
-                inflight[slot] = InFlight {
-                    stages,
-                    next_stage: 0,
-                    arrived: $now,
-                    enqueued_at: $now,
-                    visits: Vec::new(),
-                };
-                let r = inflight[slot].stages[0].resource;
-                queues[r.index()].push_back(slot);
-                try_start!(r, $now);
-                break;
-            }
-        }};
-    }
-
-    for _ in 0..n_clients {
-        launch!(SimTime::ZERO);
-    }
-
-    while (traces.len() as u64) < traced {
-        let Some((now, ev)) = events.pop() else { break };
-        busy[ev.resource.index()] -= 1;
-        inflight[ev.req].next_stage += 1;
-        if inflight[ev.req].next_stage >= inflight[ev.req].stages.len() {
-            let inf = &mut inflight[ev.req];
-            traces.push(RequestTrace {
-                arrived: inf.arrived,
-                completed: now,
-                visits: std::mem::take(&mut inf.visits),
-            });
-            free.push(ev.req);
-            launch!(now);
-        } else {
-            let inf = &mut inflight[ev.req];
-            inf.enqueued_at = now;
-            let r = inf.stages[inf.next_stage].resource;
-            queues[r.index()].push_back(ev.req);
-            try_start!(r, now);
-        }
-        try_start!(ev.resource, now);
-    }
-    traces
+    let clients = ClosedLoop::new(source, seed, 1, traced, tracer);
+    clients
+        .run(spec, n_clients, 0, &ClusterFaults::fail_free())
+        .2
+        .traces
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Stage;
+    use wcs_simcore::SimRng;
 
     fn fixed(us_cpu: u64, us_disk: u64) -> impl FnMut(&mut SimRng) -> Vec<Stage> {
         move |_rng| {

@@ -5,14 +5,11 @@
 //! for every suite workload, across worker-thread counts and memo
 //! settings — the registry is a new front door, not a new result.
 //! Second, the new FaaS and DAG families (and every non-steady traffic
-//! pack) must render bit-identically across threads × event-queue kinds
-//! × memo on/off, the same determinism contract the rest of the
-//! workspace holds.
+//! pack) must render bit-identically across threads × memo on/off, the
+//! same determinism contract the rest of the workspace holds.
 
 use wcs::designs::DesignPoint;
 use wcs::evaluate::Evaluator;
-use wcs::simcore::event::set_default_queue_kind;
-use wcs::simcore::QueueKind;
 use wcs::workloads::{registry, suite, ScenarioSpec, TrafficPack, WorkloadId};
 use wcs::WcsError;
 
@@ -63,25 +60,21 @@ fn new_families_render_identically_across_all_knobs() {
     ];
     let mut reference: Option<(String, String)> = None;
     for threads in [1usize, 2, 8] {
-        for kind in QueueKind::ALL {
-            set_default_queue_kind(kind);
-            for memo in [true, false] {
-                let label = format!("threads={threads} queue={} memo={memo}", kind.as_str());
-                let evals = evaluator(threads, memo)
-                    .evaluate_scenarios(&design, &slate)
-                    .unwrap();
-                let render = format!("{evals:?}");
-                match &reference {
-                    None => reference = Some((render, label)),
-                    Some((want, base)) => assert_eq!(
-                        want, &render,
-                        "scenario renders diverged between [{base}] and [{label}]"
-                    ),
-                }
+        for memo in [true, false] {
+            let label = format!("threads={threads} memo={memo}");
+            let evals = evaluator(threads, memo)
+                .evaluate_scenarios(&design, &slate)
+                .unwrap();
+            let render = format!("{evals:?}");
+            match &reference {
+                None => reference = Some((render, label)),
+                Some((want, base)) => assert_eq!(
+                    want, &render,
+                    "scenario renders diverged between [{base}] and [{label}]"
+                ),
             }
         }
     }
-    set_default_queue_kind(QueueKind::Auto);
 }
 
 #[test]
