@@ -16,10 +16,10 @@
 //! cost of a failover surge).
 //!
 //! Everything is deterministic: a [`ScenarioEval`]'s `Debug` render is
-//! bit-identical across thread counts, event-queue kinds, and memo
-//! on/off, because it contains only pure functions of the spec, the
-//! design, and the measurement config (queue occupancy counters — which
-//! legitimately differ by queue kind — stay out of the render and feed
+//! bit-identical across thread counts and memo on/off, because it
+//! contains only pure functions of the spec, the design, and the
+//! measurement config (queue occupancy counters, which describe how the
+//! event queue routed the work, stay out of the render and feed
 //! observability only).
 
 use std::fmt;
@@ -52,14 +52,14 @@ pub struct TrafficSample {
     /// The pure-numeric evaluation (rendered into [`ScenarioEval`]).
     pub eval: TrafficEval,
     /// Event-queue occupancy of the run. Excluded from every render:
-    /// calendar/heap counters differ by queue kind by design.
+    /// the counters describe the queue's routing, not the result.
     pub queue: QueueObs,
 }
 
 /// What an open-loop traffic-pack run measured. Every field is a pure
 /// function of the scenario, design, and measurement config — safe to
-/// render and to compare byte-for-byte across thread counts and queue
-/// kinds.
+/// render and to compare byte-for-byte across thread counts and memo
+/// settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficEval {
     /// The pack's catalog name.

@@ -37,17 +37,14 @@
 #![warn(missing_docs)]
 
 pub mod blade;
-pub mod compress;
 pub mod contention;
 pub mod degraded;
 pub mod directory;
 pub mod ensemble;
 pub mod hybrid;
 pub mod link;
-pub mod overflow;
 pub mod pageshare;
 pub mod policy;
 pub mod provisioning;
 pub mod slowdown;
 pub mod twolevel;
-pub mod victim;

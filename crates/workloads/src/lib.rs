@@ -59,7 +59,6 @@ pub mod dag;
 pub mod disktrace;
 pub mod diurnal;
 pub mod faas;
-pub mod media;
 pub mod memtrace;
 pub mod mix;
 pub mod perf;
