@@ -134,6 +134,23 @@ pub fn perf_digest(payload: &[u8]) -> u64 {
     h
 }
 
+/// Revision of the QoS throughput search behind the `eval-perf` lane.
+/// It is part of every `eval-perf` key, so bump it whenever the search
+/// can return a different sample for the same inputs: a journal written
+/// by an older search is then recomputed on resume instead of replayed.
+/// Revision 2 ends the client ramp once throughput stops improving.
+const PERF_SEARCH_REVISION: u32 = 2;
+
+/// The `eval-perf` key of one measurement.
+fn perf_key(id: WorkloadId, demand: &PlatformDemand, cfg: &MeasureConfig) -> u128 {
+    MemoKey::new("eval-perf")
+        .push_u32(PERF_SEARCH_REVISION)
+        .push(&id)
+        .push(demand)
+        .push(cfg)
+        .finish()
+}
+
 /// Caches shared across every evaluation an [`Evaluator`] performs.
 ///
 /// [`Evaluator`]: crate::evaluate::Evaluator
@@ -417,11 +434,7 @@ impl EvalMemo {
         cfg: &MeasureConfig,
         compute: impl FnOnce() -> Result<PerfSample, MeasureError>,
     ) -> Result<PerfSample, MeasureError> {
-        let key = MemoKey::new("eval-perf")
-            .push(&id)
-            .push(demand)
-            .push(cfg)
-            .finish();
+        let key = perf_key(id, demand, cfg);
         // The resume lane answers first: cells recovered from a journal
         // are served even under `--no-memo`, and the replayed bits are by
         // construction what the cold path would recompute.
@@ -574,11 +587,7 @@ mod tests {
         let platform = catalog::platform(PlatformId::Emb1);
         let demand = PlatformDemand::new(&wl, &platform);
         let cfg = MeasureConfig::quick();
-        let key = MemoKey::new("eval-perf")
-            .push(&WorkloadId::Websearch)
-            .push(&demand)
-            .push(&cfg)
-            .finish();
+        let key = perf_key(WorkloadId::Websearch, &demand, &cfg);
         let value: Result<PerfSample, MeasureError> = Ok(sample(42.0));
         let payload = encode_perf(&value);
         let records = vec![JournalRecord {
@@ -604,6 +613,32 @@ mod tests {
     }
 
     #[test]
+    fn records_of_an_earlier_search_revision_are_recomputed() {
+        use wcs_simcore::journal::JournalRecord;
+        let memo = EvalMemo::new();
+        let wl = suite::workload(WorkloadId::Websearch);
+        let platform = catalog::platform(PlatformId::Emb1);
+        let demand = PlatformDemand::new(&wl, &platform);
+        let cfg = MeasureConfig::quick();
+        // The key before the search revision was part of it.
+        let key = MemoKey::new("eval-perf")
+            .push(&WorkloadId::Websearch)
+            .push(&demand)
+            .push(&cfg)
+            .finish();
+        let payload = encode_perf(&Ok(sample(42.0)));
+        let records = [JournalRecord {
+            key,
+            digest: perf_digest(&payload),
+            payload,
+        }];
+        assert_eq!(memo.seed_journal(&records), 1, "the record itself is valid");
+        let got = memo.perf(WorkloadId::Websearch, &demand, &cfg, || Ok(sample(7.0)));
+        assert_eq!(got.unwrap().value, 7.0);
+        assert_eq!(memo.resume_hits(), 0);
+    }
+
+    #[test]
     fn resume_hits_journal_in_first_compute_order_when_enabled() {
         use wcs_simcore::journal::{self, JournalRecord};
         let dir = std::env::temp_dir();
@@ -614,11 +649,11 @@ mod tests {
         let platform = catalog::platform(PlatformId::Emb1);
         let demand = PlatformDemand::new(&wl, &platform);
         let cfg = MeasureConfig::quick();
-        let key = |id: WorkloadId| MemoKey::new("eval-perf").push(&id).push(&demand).push(&cfg);
+        let key = |id: WorkloadId| perf_key(id, &demand, &cfg);
         let record = |id: WorkloadId, value: f64| {
             let payload = encode_perf(&Ok(sample(value)));
             JournalRecord {
-                key: key(id).finish(),
+                key: key(id),
                 digest: perf_digest(&payload),
                 payload,
             }
@@ -651,8 +686,8 @@ mod tests {
         memo.sync_journal();
         let (records, _) = journal::replay(&path).expect("journal replays");
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].key, key(WorkloadId::Webmail).finish());
-        assert_eq!(records[1].key, key(WorkloadId::Websearch).finish());
+        assert_eq!(records[0].key, key(WorkloadId::Webmail));
+        assert_eq!(records[1].key, key(WorkloadId::Websearch));
         // Re-hitting an already-journaled key appends nothing (the writer
         // dedups by key), so the canonical pass is idempotent per key.
         let _ = memo.perf(WorkloadId::Webmail, &demand, &cfg, || unreachable!());

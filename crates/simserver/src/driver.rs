@@ -112,14 +112,15 @@ impl Default for SearchConfig {
 }
 
 /// Finds the maximum sustainable throughput under `qos`, mirroring the
-/// paper's adaptive client driver.
+/// paper's adaptive client driver, which adapts the number of clients
+/// "to achieve the highest level of throughput without overloading the
+/// servers" (Section 2.1).
 ///
-/// `make_source` is called once per probe run so every run sees an
-/// identically distributed, independent request stream.
-///
-/// The search doubles the client count until the QoS breaks (or
-/// throughput stops improving), then binary-searches the boundary. The
-/// best QoS-passing operating point is returned.
+/// Each probe is one closed-loop run of `config.warmup +
+/// config.measured` requests from an empty system, seeded from
+/// `config.seed` and the client count. `make_source` is called once per
+/// probe so every run sees an identically distributed, independent
+/// request stream. [`search_clients`] chooses the client counts.
 ///
 /// # Errors
 /// Returns [`QosInfeasible`] when even a single closed-loop client
@@ -131,7 +132,7 @@ pub fn find_max_throughput(
     config: SearchConfig,
 ) -> Result<ThroughputResult, QosInfeasible> {
     let mut queue = QueueObs::default();
-    let mut probe = |n: u32| -> RunStats {
+    let (clients, stats) = search_clients(qos, config.max_clients, &mut |n| {
         let mut source = make_source();
         let stats = sim.run_closed_loop(
             source.as_mut(),
@@ -142,8 +143,40 @@ pub fn find_max_throughput(
         );
         queue = queue.merged(&stats.queue);
         stats
-    };
+    })?;
+    let (bottleneck, util) = stats.bottleneck();
+    Ok(ThroughputResult {
+        rps: stats.throughput_rps(),
+        clients,
+        latency_at_qos: stats.latency.percentile(qos.percentile).unwrap_or(f64::NAN),
+        bottleneck,
+        bottleneck_utilization: util,
+        queue,
+    })
+}
 
+/// The client-count search behind [`find_max_throughput`], over any
+/// `probe` that runs the system at a given number of closed-loop
+/// clients.
+///
+/// The search probes one client, then doubles the count. The ramp ends
+/// at the first probe that fails `qos` or does not raise the best
+/// throughput so far: past its knee a closed loop's throughput is flat
+/// and more clients only queue. A QoS failure at `n` clients starts a
+/// bisection between the last passing count and `n`, down to a gap of
+/// one client; a plateau, or reaching `max_clients`, ends the search.
+///
+/// Returns the client count and run of the highest-throughput probe that
+/// met `qos`; on a tie the earlier probe wins.
+///
+/// # Errors
+/// Returns [`QosInfeasible`] when the single-client probe violates the
+/// bound.
+pub fn search_clients(
+    qos: QosSpec,
+    max_clients: u32,
+    probe: &mut dyn FnMut(u32) -> RunStats,
+) -> Result<(u32, RunStats), QosInfeasible> {
     let first = probe(1);
     if !qos.met_by(&first) {
         return Err(QosInfeasible {
@@ -153,25 +186,24 @@ pub fn find_max_throughput(
     }
 
     let mut best = (1u32, first);
-    // Exponential ramp.
-    let mut lo = 1u32;
-    let mut hi = None;
+    let mut failed = None;
     let mut n = 2u32;
-    while n <= config.max_clients {
+    while n <= max_clients {
         let stats = probe(n);
-        if qos.met_by(&stats) {
-            if stats.throughput_rps() > best.1.throughput_rps() {
-                best = (n, stats);
-            }
-            lo = n;
+        if !qos.met_by(&stats) {
+            failed = Some(n);
+            break;
+        }
+        if stats.throughput_rps() > best.1.throughput_rps() {
+            best = (n, stats);
             n = n.saturating_mul(2);
         } else {
-            hi = Some(n);
             break;
         }
     }
     // Binary refinement between the last passing and first failing count.
-    if let Some(mut hi) = hi {
+    if let Some(mut hi) = failed {
+        let mut lo = best.0;
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             let stats = probe(mid);
@@ -185,17 +217,7 @@ pub fn find_max_throughput(
             }
         }
     }
-
-    let (clients, stats) = best;
-    let (bottleneck, util) = stats.bottleneck();
-    Ok(ThroughputResult {
-        rps: stats.throughput_rps(),
-        clients,
-        latency_at_qos: stats.latency.percentile(qos.percentile).unwrap_or(f64::NAN),
-        bottleneck,
-        bottleneck_utilization: util,
-        queue,
-    })
+    Ok(best)
 }
 
 #[cfg(test)]

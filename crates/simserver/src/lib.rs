@@ -17,8 +17,11 @@
 //! the number of simultaneous clients according to recently observed QoS
 //! results, to achieve the highest level of throughput without
 //! overloading the servers". [`driver::find_max_throughput`] performs that
-//! adaptation: it searches for the largest client count whose p95 latency
-//! still meets the QoS bound and reports the throughput there.
+//! adaptation as a series of closed-loop probes: it doubles the client
+//! count from one until a probe misses the QoS bound (a latency
+//! percentile, e.g. p95) or stops raising throughput. A QoS miss is then
+//! bisected down to one client; a throughput plateau ends the search. It
+//! reports the highest QoS-passing throughput it measured.
 //!
 //! # Example
 //! ```
