@@ -1,12 +1,10 @@
 //! Microbenchmarks of the simulation substrate: event queue, Zipf
 //! sampling, histogram recording.
 
-use std::rc::Rc;
-
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wcs_simcore::dist::{Distribution, Zipf};
 use wcs_simcore::stats::Histogram;
-use wcs_simcore::{EpochArena, EventQueue, SimRng, SimTime};
+use wcs_simcore::{EventQueue, SimRng, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_1k", |b| {
@@ -84,29 +82,6 @@ fn bench_queue_occupancy(c: &mut Criterion) {
     }
 }
 
-/// Arena bump-copy vs the `Rc<[u64]>` per-payload allocation it replaced
-/// in the cluster engine's event payloads.
-fn bench_arena(c: &mut Criterion) {
-    let stages: Vec<u64> = (0..4).collect();
-    c.bench_function("payload_rc_from_slice", |b| {
-        b.iter(|| {
-            let rc: Rc<[u64]> = Rc::from(black_box(stages.as_slice()));
-            black_box(rc)
-        })
-    });
-    c.bench_function("payload_arena_alloc_copy", |b| {
-        let mut arena: EpochArena<u64> = EpochArena::with_capacity(1 << 16);
-        let mut n = 0u32;
-        b.iter(|| {
-            if arena.len() + stages.len() > (1 << 16) {
-                arena.reset();
-            }
-            n = n.wrapping_add(1);
-            black_box(arena.alloc_copy(black_box(stages.as_slice())))
-        })
-    });
-}
-
 fn bench_zipf(c: &mut Criterion) {
     let zipf = Zipf::new(500_000, 0.9).unwrap();
     let mut rng = SimRng::seed_from(2);
@@ -133,7 +108,6 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_queue_occupancy,
-    bench_arena,
     bench_zipf,
     bench_histogram
 );

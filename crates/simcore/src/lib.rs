@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 pub mod event;
 mod rng;
 mod time;
@@ -63,7 +62,6 @@ pub mod table;
 pub mod timeseries;
 pub mod watchdog;
 
-pub use arena::{ArenaSlice, EpochArena};
 pub use error::ConfigError;
 pub use event::EventQueue;
 pub use obs::Registry;
