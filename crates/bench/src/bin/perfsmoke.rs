@@ -9,7 +9,7 @@
 //! times vary — and the `cross_check` section proves it, evaluating one
 //! design under every worker-thread count × memo setting and requiring
 //! byte-identical renders. The smoke also rates
-//! the chunked SoA replay kernels (`perf.replay`: pages/sec and
+//! the two replay kernels (`perf.replay`: pages/sec and
 //! blocks/sec) and scales the multi-process sweep service across worker
 //! counts (1, 2, 4 processes, no chaos), folding the wall times into
 //! the `service` section. Run with
@@ -124,10 +124,10 @@ fn event_queue_rate() -> (u64, f64) {
     (2 * EVENTS, 2.0 * EVENTS as f64 / (wall_ms / 1e3))
 }
 
-/// Rate the two chunked SoA replay kernels over fixed-seed materialized
-/// traces: the two-level page kernel in pages/sec (dense store, lane
-/// staging fanned over `pool`) and the flashcache block kernel in
-/// blocks/sec. These feed `perf.replay` in the JSON and are gated
+/// Rate the two replay kernels over fixed-seed materialized traces: the
+/// two-level page kernel in pages/sec (dense store, trace read in place;
+/// `pool` only materializes the trace) and the flashcache block kernel
+/// in blocks/sec. These feed `perf.replay` in the JSON and are gated
 /// against the committed baseline in CI.
 fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64) {
     const MEM_ACCESSES: usize = 2_000_000;
@@ -137,8 +137,8 @@ fn replay_kernel_rates(pool: &ThreadPool) -> (f64, f64) {
     let mut sim =
         TwoLevelSim::with_page_universe(131_072, PolicyKind::Lru, 5, params.footprint_pages);
     let fill = (MEM_ACCESSES / 2) as u64;
-    let _ = sim.par_replay(&buf, 0, fill, pool);
-    let (stats, ms) = timed(|| sim.par_replay(&buf, MEM_ACCESSES / 2, fill, pool));
+    let _ = sim.run_buf(&buf, 0, fill);
+    let (stats, ms) = timed(|| sim.run_buf(&buf, MEM_ACCESSES / 2, fill));
     let pages_per_sec = stats.accesses as f64 / (ms / 1e3);
 
     const DISK_REQUESTS: usize = 400_000;

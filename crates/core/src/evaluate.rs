@@ -199,7 +199,7 @@ impl Evaluator {
     /// Splits the pool between the across-cell fan-out and the work
     /// inside each cell: with more threads than cells, each cell's
     /// inner evaluator keeps the leftover `threads / cells` workers for
-    /// its own workload fan-out and replay lane staging, so a 3-design
+    /// its own workload fan-out and trace materialization, so a 3-design
     /// study at `--threads 8` still uses idle workers intra-study
     /// instead of leaving five of them parked. The split affects wall
     /// time only — every path is bit-identical at any thread count.

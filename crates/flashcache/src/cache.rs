@@ -1,11 +1,12 @@
 //! The flash cache: extent entries, clock eviction, wear accounting.
 //!
-//! The slot bookkeeping (key map, dirty/ref bits, clock hand) is the
-//! shared [`SlotCache`] kernel — the same machinery the memshare page
-//! store uses — leaving this module with what is flash-specific: wear
-//! accounting (program bytes, erases) layered over the kernel's events.
+//! The slot bookkeeping (key index with folded dirty bits, reference
+//! bits, clock hand) is the shared [`SlotCache`] kernel — the same
+//! machinery the memshare page store uses — leaving this module with
+//! what is flash-specific: wear accounting (program bytes, erases)
+//! layered over the kernel's events.
 
-use wcs_simcore::slotcache::SlotCache;
+use wcs_simcore::slotcache::{SlotCache, Victims};
 
 /// Wear statistics for the flash device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -70,8 +71,7 @@ impl FlashCacheIndex {
     /// one).
     pub fn new(capacity: usize) -> Self {
         FlashCacheIndex {
-            // Clock eviction never consults a recency list.
-            cache: SlotCache::new(capacity.max(1), false),
+            cache: SlotCache::new(capacity.max(1), Victims::Clock),
             wear_extent_bytes: 0,
             wear: WearStats::default(),
         }
@@ -111,8 +111,7 @@ impl FlashCacheIndex {
     /// inserted (programming flash), possibly evicting a victim (erasing
     /// its blocks). `write` marks the extent dirty.
     pub fn access(&mut self, extent: u64, write: bool) -> bool {
-        if let Some(slot) = self.cache.lookup(extent) {
-            self.cache.touch_existing(slot, write);
+        if self.cache.touch(extent, write) {
             if write {
                 self.wear.bytes_programmed += self.wear_extent_bytes;
             }

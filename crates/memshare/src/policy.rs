@@ -4,15 +4,18 @@
 //! implementable policy would have performance between these points"; we
 //! add clock (the usual implementable policy) to check that expectation.
 //!
-//! The slot bookkeeping (key map, dirty/ref bits, recency links, clock
-//! hand) lives in the shared [`wcs_simcore::slotcache::SlotCache`]
-//! kernel — the same machinery the flash cache index uses — so this
-//! module only holds the *policy*: which victim mechanism each
-//! [`PolicyKind`] invokes on a full-store miss.
+//! The slot bookkeeping (key index with the dirty bit folded into each
+//! entry, clock reference bits, recency links, clock hand) lives in the
+//! shared [`wcs_simcore::slotcache::SlotCache`] kernel — the same
+//! machinery the flash cache index uses — so this module only holds the
+//! *policy*: which victim mechanism each [`PolicyKind`] keeps state for
+//! and invokes on a full-store miss.
 
 use wcs_simcore::memo::{MemoHash, MemoKey};
-use wcs_simcore::slotcache::SlotCache;
+use wcs_simcore::slotcache::{DenseKeys, KeyIndex, OpenKeys, SlotCache, Victims};
 use wcs_simcore::SimRng;
+
+use crate::twolevel::MissStats;
 
 /// Which replacement policy to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,6 +36,15 @@ impl PolicyKind {
             PolicyKind::Lru => "lru",
             PolicyKind::Random => "random",
             PolicyKind::Clock => "clock",
+        }
+    }
+
+    /// The victim mechanism the slot cache keeps state for.
+    fn victims(self) -> Victims {
+        match self {
+            PolicyKind::Lru => Victims::Lru,
+            PolicyKind::Random => Victims::Chosen,
+            PolicyKind::Clock => Victims::Clock,
         }
     }
 }
@@ -56,6 +68,24 @@ pub enum Touch {
     },
 }
 
+/// The store's slot cache, whichever key index it uses.
+#[derive(Debug)]
+enum Slots {
+    Open(SlotCache<OpenKeys>),
+    Dense(SlotCache<DenseKeys>),
+}
+
+/// Binds `$c` to the slot cache inside `$slots` and evaluates `$body`,
+/// once per index kind, so generic code runs monomorphic over each.
+macro_rules! with_slots {
+    ($slots:expr, $c:ident => $body:expr) => {
+        match $slots {
+            Slots::Open($c) => $body,
+            Slots::Dense($c) => $body,
+        }
+    };
+}
+
 /// A fixed-capacity local page store with a pluggable replacement policy.
 ///
 /// Tracks dirty bits so the two-level simulator can count victim
@@ -71,7 +101,7 @@ pub enum Touch {
 #[derive(Debug)]
 pub struct PageStore {
     kind: PolicyKind,
-    cache: SlotCache,
+    slots: Slots,
     rng: SimRng,
 }
 
@@ -83,9 +113,7 @@ impl PageStore {
     pub fn new(capacity: usize, kind: PolicyKind, seed: u64) -> Self {
         PageStore {
             kind,
-            // Only LRU consults the recency list; skipping its upkeep for
-            // random/clock cannot change any outcome.
-            cache: SlotCache::new(capacity, kind == PolicyKind::Lru),
+            slots: Slots::Open(SlotCache::new(capacity, kind.victims())),
             rng: SimRng::seed_from(seed),
         }
     }
@@ -97,117 +125,131 @@ impl PageStore {
     /// tracking are all unchanged — only lookups get cheaper.
     ///
     /// # Panics
-    /// Panics if `capacity` or `universe` is zero.
+    /// Panics if `capacity` or `universe` is zero, or `universe` exceeds
+    /// `u32` page numbers.
     pub fn with_universe(capacity: usize, kind: PolicyKind, seed: u64, universe: u64) -> Self {
         PageStore {
             kind,
-            cache: SlotCache::with_dense_keys(capacity, kind == PolicyKind::Lru, universe),
+            slots: Slots::Dense(SlotCache::with_dense_keys(
+                capacity,
+                kind.victims(),
+                universe,
+            )),
             rng: SimRng::seed_from(seed),
         }
     }
 
     /// Number of resident pages.
     pub fn len(&self) -> usize {
-        self.cache.len()
+        with_slots!(&self.slots, c => c.len())
     }
 
     /// True when no pages are resident.
     pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
+        self.len() == 0
     }
 
     /// Capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.cache.capacity()
+        with_slots!(&self.slots, c => c.capacity())
     }
 
     /// True if `page` is resident (no policy state update).
     pub fn contains(&self, page: u64) -> bool {
-        self.cache.contains(page)
+        with_slots!(&self.slots, c => contains(c, page))
     }
 
     /// Touches `page`, marking it dirty when `write` is set. Returns
     /// whether it hit, and on a full-store miss which victim was evicted.
     pub fn touch(&mut self, page: u64, write: bool) -> Touch {
-        if let Some(slot) = self.cache.lookup(page) {
-            self.cache.touch_existing(slot, write);
-            return Touch::Hit;
-        }
-        if !self.cache.is_full() {
-            self.cache.insert(page, write);
-            return Touch::Miss { evicted: None };
-        }
-        let victim = match self.kind {
-            PolicyKind::Lru => self.cache.lru_victim(),
-            PolicyKind::Random => self.rng.index(self.cache.len()) as u32,
-            PolicyKind::Clock => self.cache.clock_victim(),
-        };
-        let evicted = self.cache.replace(victim, page, write);
-        Touch::Miss {
-            evicted: Some(evicted),
-        }
+        let (kind, rng) = (self.kind, &mut self.rng);
+        with_slots!(&mut self.slots, c => {
+            touch_step(c, key_of(c, page), write, &mut |c| victim(kind, c, rng))
+        })
     }
 
-    /// The epoch touch pass of the vectorized replay kernel: touches
-    /// every access of an SoA chunk (`pages[i]`, write iff
-    /// `writes[i] != 0`) and records one outcome-code bitmask byte per
-    /// access into `codes` — [`CODE_MISS`] for a charged (full-store)
-    /// miss, `| `[`CODE_WRITEBACK`] when the victim was dirty. Hits and
-    /// uncharged cold fills record 0.
+    /// The replay kernel: touches every `(page, write)` access in order
+    /// and counts charged (full-store) misses and dirty-victim
+    /// writebacks as it goes. Hits and uncharged cold fills count only
+    /// as accesses.
     ///
     /// Bit-identical to calling [`touch`](Self::touch) per access: the
-    /// policy dispatch is hoisted out of the loop (one monomorphic loop
-    /// per [`PolicyKind`]), but slot operations and RNG draws happen in
-    /// exactly the same order.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths disagree.
-    pub fn touch_pass(&mut self, pages: &[u32], writes: &[u8], codes: &mut [u8]) {
-        assert!(
-            pages.len() == writes.len() && pages.len() == codes.len(),
-            "SoA chunk length mismatch"
-        );
-        let (cache, rng) = (&mut self.cache, &mut self.rng);
-        match self.kind {
-            PolicyKind::Lru => touch_loop(cache, pages, writes, codes, |c| c.lru_victim()),
+    /// index-kind and policy dispatch is hoisted out of the loop (one
+    /// monomorphic loop per index kind and [`PolicyKind`]), but slot
+    /// operations and RNG draws happen in exactly the same order.
+    pub fn touch_pass(&mut self, accesses: impl IntoIterator<Item = (u32, bool)>) -> MissStats {
+        let rng = &mut self.rng;
+        with_slots!(&mut self.slots, c => match self.kind {
+            PolicyKind::Lru => touch_loop(c, accesses, |c| victim(PolicyKind::Lru, c, rng)),
             PolicyKind::Random => {
-                touch_loop(cache, pages, writes, codes, |c| rng.index(c.len()) as u32)
+                touch_loop(c, accesses, |c| victim(PolicyKind::Random, c, rng))
             }
-            PolicyKind::Clock => touch_loop(cache, pages, writes, codes, |c| c.clock_victim()),
+            PolicyKind::Clock => touch_loop(c, accesses, |c| victim(PolicyKind::Clock, c, rng)),
+        })
+    }
+}
+
+fn key_of<I: KeyIndex>(_: &SlotCache<I>, page: u64) -> I::Key {
+    I::key(page)
+}
+
+fn contains<I: KeyIndex>(cache: &SlotCache<I>, page: u64) -> bool {
+    cache.contains(I::key(page))
+}
+
+/// The victim `kind` evicts from a full store.
+#[inline]
+fn victim<I: KeyIndex>(kind: PolicyKind, cache: &mut SlotCache<I>, rng: &mut SimRng) -> u32 {
+    match kind {
+        PolicyKind::Lru => cache.lru_victim(),
+        PolicyKind::Random => rng.index(cache.len()) as u32,
+        PolicyKind::Clock => cache.clock_victim(),
+    }
+}
+
+/// One access: a hit, a fill while the store has free slots, or a swap
+/// with the victim `victim` picks.
+#[inline(always)]
+fn touch_step<I: KeyIndex>(
+    cache: &mut SlotCache<I>,
+    key: I::Key,
+    write: bool,
+    victim: &mut impl FnMut(&mut SlotCache<I>) -> u32,
+) -> Touch {
+    if cache.touch(key, write) {
+        Touch::Hit
+    } else if !cache.is_full() {
+        cache.insert(key, write);
+        Touch::Miss { evicted: None }
+    } else {
+        let slot = victim(cache);
+        let (old, dirty) = cache.replace(slot, key, write);
+        Touch::Miss {
+            evicted: Some((old.into(), dirty)),
         }
     }
 }
 
-/// Outcome-code bit: the access faulted against a full store.
-pub const CODE_MISS: u8 = 1;
-/// Outcome-code bit: the evicted victim was dirty (writeback DMA).
-pub const CODE_WRITEBACK: u8 = 2;
-
-/// The shared inner loop of [`PageStore::touch_pass`], monomorphized per
-/// victim selector so the per-access policy `match` disappears.
-#[inline]
-fn touch_loop(
-    cache: &mut SlotCache,
-    pages: &[u32],
-    writes: &[u8],
-    codes: &mut [u8],
-    mut victim: impl FnMut(&mut SlotCache) -> u32,
-) {
-    for ((&page, &w), code) in pages.iter().zip(writes).zip(codes.iter_mut()) {
-        let page = u64::from(page);
-        let write = w != 0;
-        *code = if let Some(slot) = cache.lookup(page) {
-            cache.touch_existing(slot, write);
-            0
-        } else if !cache.is_full() {
-            cache.insert(page, write);
-            0
-        } else {
-            let v = victim(cache);
-            let (_, dirty) = cache.replace(v, page, write);
-            CODE_MISS | (u8::from(dirty) * CODE_WRITEBACK)
-        };
+/// The inner loop of [`PageStore::touch_pass`], monomorphized per index
+/// kind and victim selector so neither is matched per access.
+#[inline(always)]
+fn touch_loop<I: KeyIndex>(
+    cache: &mut SlotCache<I>,
+    accesses: impl IntoIterator<Item = (u32, bool)>,
+    mut victim: impl FnMut(&mut SlotCache<I>) -> u32,
+) -> MissStats {
+    let mut stats = MissStats::default();
+    for (page, write) in accesses {
+        stats.accesses += 1;
+        if let Touch::Miss {
+            evicted: Some((_, dirty)),
+        } = touch_step(cache, I::Key::from(page), write, &mut victim)
+        {
+            stats.misses += 1;
+            stats.writebacks += u64::from(dirty);
+        }
     }
+    stats
 }
 
 #[cfg(test)]
@@ -289,42 +331,61 @@ mod tests {
 
     #[test]
     fn touch_pass_matches_scalar_touch_for_every_policy_and_index() {
-        // The vectorized epoch pass must reproduce, access by access,
-        // what the scalar touch API reports — for all three policies and
-        // for both key-index kinds.
+        // The batch kernel must reproduce, access by access, what the
+        // scalar touch API reports — for all three policies and for both
+        // key-index kinds. One-access passes compare every outcome;
+        // ragged chunks cover resume points.
         let universe = 600u64;
         let mut rng = SimRng::seed_from(0xACE5);
         let n = 8_000;
-        let pages: Vec<u32> = (0..n)
-            .map(|_| rng.index(universe as usize) as u32)
+        let accesses: Vec<(u32, bool)> = (0..n)
+            .map(|_| (rng.index(universe as usize) as u32, rng.chance(0.3)))
             .collect();
-        let writes: Vec<u8> = (0..n).map(|_| u8::from(rng.chance(0.3))).collect();
         for kind in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
-            let stores = [
-                PageStore::new(96, kind, 42),
-                PageStore::with_universe(96, kind, 42, universe),
-            ];
-            for mut soa in stores {
-                let mut scalar = PageStore::new(96, kind, 42);
-                let mut want = vec![0u8; n];
-                for (i, w) in want.iter_mut().enumerate() {
-                    *w = match scalar.touch(u64::from(pages[i]), writes[i] != 0) {
-                        Touch::Hit | Touch::Miss { evicted: None } => 0,
+            let mut scalar = PageStore::new(96, kind, 42);
+            let want: Vec<(u64, u64)> = accesses
+                .iter()
+                .map(
+                    |&(page, write)| match scalar.touch(u64::from(page), write) {
+                        Touch::Hit | Touch::Miss { evicted: None } => (0, 0),
                         Touch::Miss {
                             evicted: Some((_, dirty)),
-                        } => CODE_MISS | (u8::from(dirty) * CODE_WRITEBACK),
-                    };
+                        } => (1, u64::from(dirty)),
+                    },
+                )
+                .collect();
+            let stores = || {
+                [
+                    PageStore::new(96, kind, 42),
+                    PageStore::with_universe(96, kind, 42, universe),
+                ]
+            };
+            for mut one in stores() {
+                for (i, &access) in accesses.iter().enumerate() {
+                    let got = one.touch_pass([access]);
+                    assert_eq!(got.accesses, 1);
+                    assert_eq!((got.misses, got.writebacks), want[i], "{kind:?} access {i}");
                 }
-                let mut got = vec![0u8; n];
-                // Feed the pass in ragged chunks to cover resume points.
+            }
+            for mut ragged in stores() {
                 let mut at = 0;
                 for take in [1usize, 7, 512, 4096, n] {
                     let end = (at + take).min(n);
-                    soa.touch_pass(&pages[at..end], &writes[at..end], &mut got[at..end]);
+                    let got = ragged.touch_pass(accesses[at..end].iter().copied());
+                    let (misses, writebacks) = want[at..end]
+                        .iter()
+                        .fold((0, 0), |(m, w), &(dm, dw)| (m + dm, w + dw));
+                    assert_eq!(
+                        got,
+                        MissStats {
+                            accesses: (end - at) as u64,
+                            misses,
+                            writebacks,
+                        },
+                        "{kind:?} chunk {at}..{end}"
+                    );
                     at = end;
                 }
-                soa.touch_pass(&pages[at..], &writes[at..], &mut got[at..]);
-                assert_eq!(got, want, "{kind:?}");
             }
         }
     }

@@ -211,12 +211,10 @@ pub fn estimate_slowdown_with(
     estimate_slowdown_pooled(workload, config, memo, &ThreadPool::serial())
 }
 
-/// [`estimate_slowdown_with`] with the trace materialization and the
-/// replay's SoA lane staging fanned out on `pool`'s threads. The cache
-/// touch loop itself stays sequential — the cache state threads access
-/// to access — but it consumes pre-staged chunk ranges whose state
-/// checkpoints merge in chunk order, so the result is bit-identical at
-/// every pool size.
+/// [`estimate_slowdown_with`] with a trace materialization (on a memo
+/// miss) fanned out over `pool`'s threads. The replay itself is serial —
+/// the cache state threads access to access — and reads the shared trace
+/// in place, so the result is bit-identical at every pool size.
 ///
 /// # Errors
 /// Rejects a `local_fraction` outside `(0, 1]`.
@@ -256,8 +254,7 @@ pub fn estimate_slowdown_pooled(
         if memo.is_enabled() {
             let total = (config.fill + config.measured) as usize;
             let buf = memo.trace_par(params, trace_seed, total, pool);
-            let _ = sim.par_replay(&buf, 0, config.fill, pool);
-            sim.par_replay(&buf, config.fill as usize, config.measured, pool)
+            sim.run_steady_buf(&buf, config.fill, config.measured)
         } else {
             // True cold path: stream straight from the generator, no
             // materialization.

@@ -1,49 +1,16 @@
 //! Trace-driven two-level memory simulator.
 //!
-//! The replay loop is chunked: accesses are staged into small
-//! struct-of-arrays scratch lanes (packed `u32` pages plus write bytes,
-//! from the live generator or decoded straight out of a materialized
-//! [`MemTraceBuf`]) and consumed by one shared epoch-batch kernel: a
-//! monomorphic-per-policy touch pass that records an outcome-code
-//! bitmask byte per access ([`crate::policy::PageStore::touch_pass`]),
-//! then a branch-free [`wcs_simcore::simd`] fold that pops the code
-//! bits into counters. The generator path and the shared-buffer path
-//! execute byte-identical simulation code and differ only in where the
-//! chunk comes from.
+//! A replay is one call of the store's kernel
+//! ([`crate::policy::PageStore::touch_pass`]): a loop, monomorphic per
+//! key-index kind and policy, that touches each access and counts misses
+//! and writebacks as it goes. The generator path feeds it accesses as
+//! they are drawn; the shared-buffer path feeds it the materialized
+//! [`MemTraceBuf`] read in place. Both execute the same simulation code
+//! and differ only in where the accesses come from.
 
-use wcs_simcore::{simd, ThreadPool};
 use wcs_workloads::memtrace::{MemTraceBuf, MemTraceGen};
 
 use crate::policy::{PageStore, PolicyKind};
-
-/// Accesses staged per chunk: big enough to amortize the loop switch,
-/// small enough that the SoA lanes (16 KiB of pages, 4 KiB of write
-/// bytes, 4 KiB of codes) stay in L1/L2 alongside the store's hot
-/// columns.
-const CHUNK: usize = 4096;
-
-/// Accesses per parallel staging range of [`TwoLevelSim::par_replay`]:
-/// 64 epoch chunks, so one pool task decodes enough lanes (1 MiB of
-/// pages + 256 KiB of writes) to amortize its scheduling cost.
-const PAR_RANGE: usize = 64 * CHUNK;
-
-/// Fixed-size SoA staging lanes for one replay epoch.
-#[derive(Debug)]
-struct EpochLanes {
-    pages: [u32; CHUNK],
-    writes: [u8; CHUNK],
-    codes: [u8; CHUNK],
-}
-
-impl EpochLanes {
-    fn new() -> Box<Self> {
-        Box::new(EpochLanes {
-            pages: [0; CHUNK],
-            writes: [0; CHUNK],
-            codes: [0; CHUNK],
-        })
-    }
-}
 
 /// Miss statistics from a trace replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -101,7 +68,6 @@ impl MissStats {
 #[derive(Debug)]
 pub struct TwoLevelSim {
     local: PageStore,
-    warm: bool,
 }
 
 impl TwoLevelSim {
@@ -112,7 +78,6 @@ impl TwoLevelSim {
     pub fn new(local_pages: usize, policy: PolicyKind, seed: u64) -> Self {
         TwoLevelSim {
             local: PageStore::new(local_pages, policy, seed),
-            warm: false,
         }
     }
 
@@ -132,67 +97,27 @@ impl TwoLevelSim {
     ) -> Self {
         TwoLevelSim {
             local: PageStore::with_universe(local_pages, policy, seed, universe),
-            warm: false,
         }
-    }
-
-    /// The shared replay kernel: the monomorphic touch pass walks the
-    /// store (pointer-heavy, unpredictable) and records one outcome-code
-    /// bitmask byte per access, then the branch-free
-    /// [`simd::fold_mask_counts`] pass pops the code bits into the
-    /// counters. Keeping the accumulation out of the touch loop lets
-    /// the compiler vectorize it and keeps the counters out of the
-    /// store's cache-miss shadow.
-    fn replay_epoch_batch(
-        &mut self,
-        pages: &[u32],
-        writes: &[u8],
-        codes: &mut [u8],
-        stats: &mut MissStats,
-    ) {
-        debug_assert!(pages.len() <= CHUNK);
-        debug_assert!(pages.len() == writes.len() && writes.len() == codes.len());
-        self.local.touch_pass(pages, writes, codes);
-        stats.accesses += pages.len() as u64;
-        let counts = simd::fold_mask_counts(codes);
-        let (misses, writebacks) = (counts[0], counts[1]);
-        self.warm |= misses > 0;
-        stats.misses += misses;
-        stats.writebacks += writebacks;
     }
 
     /// Replays `n` touches from the generator, returning steady-state
     /// statistics (the fill phase is replayed but not charged).
+    ///
+    /// # Panics
+    /// Panics if a drawn page does not fit `u32` page numbers.
     pub fn run(&mut self, gen: &mut MemTraceGen, n: u64) -> MissStats {
-        let mut stats = MissStats::default();
-        let mut lanes = EpochLanes::new();
-        let mut left = n;
-        while left > 0 {
-            let take = (left as usize).min(CHUNK);
-            for j in 0..take {
-                let a = gen.next_access();
-                debug_assert!(a.page <= u64::from(u32::MAX));
-                lanes.pages[j] = a.page as u32;
-                lanes.writes[j] = u8::from(a.write);
-            }
-            self.replay_epoch_batch(
-                &lanes.pages[..take],
-                &lanes.writes[..take],
-                &mut lanes.codes[..take],
-                &mut stats,
-            );
-            left -= take as u64;
-        }
-        stats
+        self.local.touch_pass((0..n).map(|_| {
+            let a = gen.next_access();
+            (u32::try_from(a.page).expect("trace pages fit u32"), a.write)
+        }))
     }
 
-    /// Replays accesses `[start, start + n)` of a materialized trace.
+    /// Replays accesses `[start, start + n)` of a materialized trace,
+    /// read in place.
     ///
     /// Bit-identical to [`run`](Self::run) over the same accesses: the
     /// buffer stores exactly what the generator would produce, and both
-    /// paths feed the same epoch-batch kernel — the buffer path just
-    /// decodes its SoA lanes directly, with no intermediate
-    /// `PageAccess` structs.
+    /// paths feed the same kernel.
     ///
     /// Also the checkpointed chunk primitive: calling `run_buf` over
     /// any partition of a range, accumulating the returned integer
@@ -203,67 +128,8 @@ impl TwoLevelSim {
     /// # Panics
     /// Panics if the range runs past the end of the buffer.
     pub fn run_buf(&mut self, buf: &MemTraceBuf, start: usize, n: u64) -> MissStats {
-        let mut stats = MissStats::default();
-        let mut lanes = EpochLanes::new();
-        let mut at = start;
-        let end = start + n as usize;
-        while at < end {
-            let take = (end - at).min(CHUNK);
-            buf.fill_chunk_soa(at, &mut lanes.pages[..take], &mut lanes.writes[..take]);
-            self.replay_epoch_batch(
-                &lanes.pages[..take],
-                &lanes.writes[..take],
-                &mut lanes.codes[..take],
-                &mut stats,
-            );
-            at += take;
-        }
-        stats
-    }
-
-    /// [`run_buf`](Self::run_buf) with lane staging fanned out over
-    /// `pool`.
-    ///
-    /// The range splits into deterministic [`PAR_RANGE`]-sized chunk
-    /// ranges whose SoA lanes (packed pages + write bytes) decode in
-    /// parallel — pure per-range work with no simulator state. The
-    /// cache then consumes the staged lanes strictly in chunk order:
-    /// the simulator's own state at each chunk boundary is the
-    /// checkpoint the next chunk resumes from, and the per-chunk
-    /// integer counters merge exactly ([`MissStats::merged`]). The
-    /// result is bit-identical to [`run_buf`](Self::run_buf) at every
-    /// pool size.
-    ///
-    /// # Panics
-    /// Panics if the range runs past the end of the buffer.
-    pub fn par_replay(
-        &mut self,
-        buf: &MemTraceBuf,
-        start: usize,
-        n: u64,
-        pool: &ThreadPool,
-    ) -> MissStats {
-        let end = start + n as usize;
-        let ranges: Vec<(usize, usize)> = (start..end)
-            .step_by(PAR_RANGE)
-            .map(|at| (at, (end - at).min(PAR_RANGE)))
-            .collect();
-        let staged = pool.par_map(&ranges, |_, &(at, len)| {
-            let mut pages = vec![0u32; len];
-            let mut writes = vec![0u8; len];
-            buf.fill_chunk_soa(at, &mut pages, &mut writes);
-            (pages, writes)
-        });
-        let mut codes = vec![0u8; CHUNK];
-        let mut stats = MissStats::default();
-        for (pages, writes) in &staged {
-            let mut range_stats = MissStats::default();
-            for (p, w) in pages.chunks(CHUNK).zip(writes.chunks(CHUNK)) {
-                self.replay_epoch_batch(p, w, &mut codes[..p.len()], &mut range_stats);
-            }
-            stats = stats.merged(&range_stats);
-        }
-        stats
+        self.local
+            .touch_pass(buf.accesses(start..start + n as usize))
     }
 
     /// Convenience: replay `fill` accesses to warm up, then measure over
@@ -410,7 +276,7 @@ mod tests {
     fn soa_kernel_matches_scalar_touch_reference() {
         // Independent scalar re-implementation of the replay semantics,
         // driven access by access through the public touch API — the
-        // reference the vectorized kernel is pinned to.
+        // reference the batch kernel is pinned to.
         use crate::policy::{PageStore, Touch};
         let p = small_params();
         for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
@@ -446,24 +312,6 @@ mod tests {
                 dense.run_buf(&buf, 0, 150_000),
                 "{policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn par_replay_is_bit_identical_to_run_buf_at_every_pool_size() {
-        let p = small_params();
-        // Deliberately not a multiple of PAR_RANGE or CHUNK, with an
-        // offset start, so both tails are exercised.
-        let buf = MemTraceBuf::generate(p, 43, 700_001);
-        for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
-            let mut whole = TwoLevelSim::new(1_500, policy, 11);
-            let want = whole.run_buf(&buf, 3, 700_001 - 3);
-            for threads in [1usize, 2, 8] {
-                let pool = ThreadPool::new(threads).unwrap();
-                let mut sim = TwoLevelSim::new(1_500, policy, 11);
-                let got = sim.par_replay(&buf, 3, 700_001 - 3, &pool);
-                assert_eq!(got, want, "{policy:?} threads={threads}");
-            }
         }
     }
 

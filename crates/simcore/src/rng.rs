@@ -94,6 +94,7 @@ impl SimRng {
     ///
     /// # Panics
     /// Panics if `n == 0`.
+    #[inline]
     pub fn index(&mut self, n: usize) -> usize {
         assert!(n > 0, "index range must be non-empty");
         self.inner.gen_range(0..n)
@@ -170,6 +171,27 @@ mod tests {
             assert!((3.0..5.0).contains(&r));
             let i = rng.index(7);
             assert!(i < 7);
+        }
+    }
+
+    #[test]
+    fn index_draws_what_the_rejection_zone_formula_draws() {
+        // `index` must stay bit-identical to the plain rejection sampler:
+        // accept `v < u64::MAX - u64::MAX % span`, return `v % span`.
+        for span in [1u64, 2, 3, (1 << 32) + 1, 1 << 63, u64::MAX] {
+            let mut rng = SimRng::seed_from(span ^ 0x5EED);
+            let mut raw = rng.clone();
+            let zone = u64::MAX - (u64::MAX % span);
+            for _ in 0..2_000 {
+                let want = loop {
+                    let v = raw.next_u64();
+                    if v < zone {
+                        break v % span;
+                    }
+                };
+                let n = usize::try_from(span).expect("64-bit usize");
+                assert_eq!(rng.index(n) as u64, want, "span {span}");
+            }
         }
     }
 

@@ -1,21 +1,22 @@
-//! Branch-free lane helpers for the SoA replay kernels.
+//! Branch-free lane helpers for the flash replay kernel.
 //!
-//! The replay kernels in `memshare::twolevel` and `flashcache::system`
-//! run in two passes over a staged epoch chunk: a scalar *touch* pass
-//! that mutates cache state and writes one outcome-code byte per
-//! element, then a *fold* pass that reduces the code lane into counters.
-//! This module holds the fold-pass primitives, shaped so rustc's
-//! autovectorizer turns them into SIMD: fixed-width `chunks_exact`
-//! bodies with no data-dependent branches, integer accumulation in
-//! per-chunk partials, and f64 accumulation in a **fixed-shape pairwise
-//! tree** whose rounding order depends only on the slice length — never
-//! on chunking, thread count, or target features — so results stay
-//! bit-identical everywhere.
+//! The flash-cache kernel in `flashcache::system` runs in two passes
+//! over a staged epoch chunk: a scalar *probe* pass that mutates cache
+//! state and writes one outcome-code byte per request (the code also
+//! indexes the kernel's service-time table), then a *fold* pass that
+//! reduces the code lane into counters. This module holds the fold-pass
+//! primitives, shaped so rustc's autovectorizer turns them into SIMD:
+//! fixed-width `chunks_exact` bodies with no data-dependent branches,
+//! integer accumulation in per-chunk partials, and f64 accumulation in a
+//! **fixed-shape pairwise tree** whose rounding order depends only on
+//! the slice length — never on chunking, thread count, or target
+//! features — so results stay bit-identical everywhere. (The
+//! memory-blade kernel in `memshare::policy` needs no code lane: it
+//! counts misses and writebacks inside its touch loop.)
 //!
 //! Outcome codes are bitmasks, not enums: bit `b` of each code byte is
-//! an independent stage outcome (miss, writeback, flash hit, absorbed
-//! write, ...), and [`fold_mask_counts`] pops all eight bit populations
-//! in one pass.
+//! an independent stage outcome (flash hit, absorbed write, ...), and
+//! [`fold_mask_counts`] pops all eight bit populations in one pass.
 
 /// Lane width of the integer fold pass. 32 byte-codes fill one or two
 /// vector registers on every target this workspace builds for.

@@ -5,9 +5,18 @@
 //! copies of the same machinery: a `key -> slot` map, a slot array of
 //! `(key, dirty, ref)` tuples, a clock hand, and (for LRU) an intrusive
 //! doubly-linked recency list. [`SlotCache`] is that machinery once, laid
-//! out struct-of-arrays so the replay inner loops touch only the columns
-//! they need: hits read/write `dirty`/`refbit`, clock sweeps scan
-//! `refbit` alone, and the recency links live in their own `u32` arrays.
+//! out so a hit touches as little memory as possible:
+//!
+//! * the key index stores `slot << 1 | dirty` per resident key, so a hit
+//!   reads (and, on a write, sets the dirty bit in) one index entry;
+//! * the slot columns hold the resident key plus only what the victim
+//!   mechanism in use reads: a reference bit per slot for clock, the
+//!   recency links for LRU, nothing for a caller-chosen (random) victim.
+//!
+//! The index is a type parameter ([`OpenKeys`] for arbitrary `u64` keys,
+//! [`DenseKeys`] for a known finite universe), so a replay loop over
+//! either kind compiles to its own monomorphic code with every per-access
+//! method inlined.
 //!
 //! Policy stays with the caller: the kernel exposes victim *mechanisms*
 //! ([`clock_victim`](SlotCache::clock_victim),
@@ -16,81 +25,155 @@
 //!
 //! # Example
 //! ```
-//! use wcs_simcore::slotcache::SlotCache;
-//! let mut c = SlotCache::new(2, false);
-//! assert!(c.lookup(10).is_none());
+//! use wcs_simcore::slotcache::{SlotCache, Victims};
+//! let mut c = SlotCache::new(2, Victims::Lru);
+//! assert!(!c.touch(10, false)); // miss: the caller installs the key
 //! let slot = c.insert(10, false);
+//! assert!(c.touch(10, true)); // hit, now dirty
 //! assert_eq!(c.lookup(10), Some(slot));
-//! c.touch_existing(slot, true); // now dirty
 //! ```
 
 use crate::table::OpenMap;
 
-/// Sentinel for "no slot" in the recency links.
+/// Sentinel for "no slot" in the dense index and the recency links.
 const NIL: u32 = u32::MAX;
 
-/// The `key -> slot` index of a [`SlotCache`].
-///
-/// The open-addressed map handles arbitrary `u64` keys; the dense
-/// variant is a direct-indexed `Vec<u32>` over a known finite key
-/// universe (page numbers below a footprint, extent numbers below a
-/// dataset size). Dense lookups are one predictable array access — no
-/// hashing, no probe chain — which is where the replay kernels spend
-/// most of their per-touch time.
-#[derive(Debug, Clone)]
-enum KeyIndex {
-    Open(OpenMap<u64, u32>),
-    Dense(Vec<u32>),
+/// Largest capacity whose `slot << 1 | dirty` index entries stay below
+/// [`NIL`].
+const MAX_CAPACITY: usize = (NIL >> 1) as usize;
+
+/// The victim mechanism a [`SlotCache`] keeps per-slot state for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Victims {
+    /// The caller picks any slot (random replacement): no per-slot
+    /// policy state.
+    Chosen,
+    /// Second-chance clock: one reference bit per slot and a hand.
+    Clock,
+    /// Least-recently-used: an intrusive doubly-linked recency list.
+    Lru,
 }
 
-impl KeyIndex {
+/// The `key -> (slot, dirty)` index of a [`SlotCache`].
+///
+/// Entries are `slot << 1 | dirty`. Implemented by [`OpenKeys`] and
+/// [`DenseKeys`]; a [`SlotCache`] is generic over it so each index kind
+/// gets its own inlined replay loop.
+pub trait KeyIndex {
+    /// The key type the slot column stores.
+    type Key: Copy + From<u32> + Into<u64>;
+
+    /// Converts a caller's `u64` key.
+    ///
+    /// # Panics
+    /// Panics if the key does not fit [`Self::Key`].
+    fn key(raw: u64) -> Self::Key;
+
+    /// The entry for `key`, if resident.
+    fn get(&self, key: Self::Key) -> Option<u32>;
+
+    /// The hit path: if `key` is resident, ORs `write` into its dirty bit
+    /// and returns its slot.
+    fn hit(&mut self, key: Self::Key, write: bool) -> Option<u32>;
+
+    /// Stores `entry` for a key that is not resident.
+    fn set(&mut self, key: Self::Key, entry: u32);
+
+    /// Removes a resident key, returning its entry.
+    fn take(&mut self, key: Self::Key) -> u32;
+}
+
+/// An open-addressed hash index over arbitrary `u64` keys.
+#[derive(Debug, Clone)]
+pub struct OpenKeys(OpenMap<u64, u32>);
+
+impl KeyIndex for OpenKeys {
+    type Key = u64;
+
+    #[inline]
+    fn key(raw: u64) -> u64 {
+        raw
+    }
+
     #[inline]
     fn get(&self, key: u64) -> Option<u32> {
-        match self {
-            KeyIndex::Open(map) => map.get(&key).copied(),
-            KeyIndex::Dense(slots) => {
-                let s = slots[key as usize];
-                (s != NIL).then_some(s)
-            }
-        }
+        self.0.get(&key).copied()
     }
 
     #[inline]
-    fn set(&mut self, key: u64, slot: u32) {
-        match self {
-            KeyIndex::Open(map) => {
-                map.insert(key, slot);
-            }
-            KeyIndex::Dense(slots) => slots[key as usize] = slot,
-        }
+    fn hit(&mut self, key: u64, write: bool) -> Option<u32> {
+        let entry = self.0.get_mut(&key)?;
+        *entry |= u32::from(write);
+        Some(*entry >> 1)
     }
 
     #[inline]
-    fn clear(&mut self, key: u64) {
-        match self {
-            KeyIndex::Open(map) => {
-                map.remove(&key);
-            }
-            KeyIndex::Dense(slots) => slots[key as usize] = NIL,
-        }
+    fn set(&mut self, key: u64, entry: u32) {
+        self.0.insert(key, entry);
+    }
+
+    #[inline]
+    fn take(&mut self, key: u64) -> u32 {
+        self.0.remove(&key).expect("resident key")
     }
 }
 
-/// Fixed-capacity cache state: key map, SoA slot columns, clock hand,
-/// and an optional intrusive LRU list.
+/// A direct-indexed index over keys known to lie in `0..universe` (page
+/// numbers below a footprint): one predictable array access per lookup,
+/// no hashing, no probe chain, and `u32` keys in the slot column.
+#[derive(Debug, Clone)]
+pub struct DenseKeys(Vec<u32>);
+
+impl KeyIndex for DenseKeys {
+    type Key = u32;
+
+    #[inline]
+    fn key(raw: u64) -> u32 {
+        u32::try_from(raw).expect("dense slot-cache keys fit u32")
+    }
+
+    #[inline]
+    fn get(&self, key: u32) -> Option<u32> {
+        let entry = self.0[key as usize];
+        (entry != NIL).then_some(entry)
+    }
+
+    #[inline]
+    fn hit(&mut self, key: u32, write: bool) -> Option<u32> {
+        let entry = &mut self.0[key as usize];
+        if *entry == NIL {
+            return None;
+        }
+        *entry |= u32::from(write);
+        Some(*entry >> 1)
+    }
+
+    #[inline]
+    fn set(&mut self, key: u32, entry: u32) {
+        self.0[key as usize] = entry;
+    }
+
+    #[inline]
+    fn take(&mut self, key: u32) -> u32 {
+        std::mem::replace(&mut self.0[key as usize], NIL)
+    }
+}
+
+/// Fixed-capacity cache state: key index, per-slot columns for the
+/// victim mechanism in use, and the clock hand.
 ///
 /// Slot indices are `u32` (capacities here are at most a few million
-/// pages); construction rejects capacities that would not fit.
+/// pages); construction rejects capacities whose index entries would not
+/// fit.
 #[derive(Debug, Clone)]
-pub struct SlotCache {
+pub struct SlotCache<I: KeyIndex = OpenKeys> {
     capacity: usize,
-    index: KeyIndex,
-    keys: Vec<u64>,
-    dirty: Vec<bool>,
+    victims: Victims,
+    index: I,
+    keys: Vec<I::Key>,
+    /// Clock only.
     refbit: Vec<bool>,
-    // Intrusive LRU list (only maintained when `linked`): head = MRU,
-    // tail = eviction victim.
-    linked: bool,
+    /// LRU only: head = MRU, tail = eviction victim.
     prev: Vec<u32>,
     next: Vec<u32>,
     head: u32,
@@ -98,54 +181,64 @@ pub struct SlotCache {
     hand: u32,
 }
 
-impl SlotCache {
-    /// Creates an empty cache holding up to `capacity` keys. Pass
-    /// `linked = true` when the caller needs [`lru_victim`](Self::lru_victim)
-    /// (the recency list costs two pointer updates per touch).
+impl SlotCache<OpenKeys> {
+    /// Creates an empty cache holding up to `capacity` keys, keeping the
+    /// per-slot state `victims` needs.
     ///
     /// # Panics
     /// Panics if `capacity` is zero or does not fit slot indices.
-    pub fn new(capacity: usize, linked: bool) -> Self {
-        Self::with_index(
+    pub fn new(capacity: usize, victims: Victims) -> Self {
+        SlotCache::with_index(
             capacity,
-            linked,
-            KeyIndex::Open(OpenMap::with_capacity(capacity)),
+            victims,
+            OpenKeys(OpenMap::with_capacity(capacity)),
         )
     }
+}
 
+impl SlotCache<DenseKeys> {
     /// Creates an empty cache whose keys are known to lie in
     /// `0..universe`: the key index is a direct-indexed array (one
     /// predictable load per lookup) instead of a hash map. Behaviour is
-    /// otherwise identical to [`new`](Self::new), including every victim
-    /// mechanism — only the lookup machinery changes.
+    /// otherwise identical to [`new`](SlotCache::new), including every
+    /// victim mechanism — only the lookup machinery changes.
     ///
     /// # Panics
-    /// Panics on a zero/oversized capacity or a zero universe; keys at
-    /// or above `universe` panic at first use (index out of bounds).
-    pub fn with_dense_keys(capacity: usize, linked: bool, universe: u64) -> Self {
+    /// Panics on a zero/oversized capacity, or a zero universe or one
+    /// beyond `u32` keys; keys at or above `universe` panic at first use
+    /// (index out of bounds).
+    pub fn with_dense_keys(capacity: usize, victims: Victims, universe: u64) -> Self {
         assert!(universe > 0, "dense slot cache needs a key universe");
-        Self::with_index(
-            capacity,
-            linked,
-            KeyIndex::Dense(vec![NIL; universe as usize]),
-        )
+        assert!(
+            universe <= 1 << 32,
+            "dense slot cache universe must fit u32 keys"
+        );
+        SlotCache::with_index(capacity, victims, DenseKeys(vec![NIL; universe as usize]))
     }
+}
 
-    fn with_index(capacity: usize, linked: bool, index: KeyIndex) -> Self {
+impl<I: KeyIndex> SlotCache<I> {
+    fn with_index(capacity: usize, victims: Victims, index: I) -> Self {
         assert!(capacity > 0, "slot cache needs capacity");
         assert!(
-            capacity < NIL as usize,
+            capacity <= MAX_CAPACITY,
             "slot cache capacity must fit u32 slot indices"
         );
+        let column = |mechanism| {
+            if victims == mechanism {
+                capacity
+            } else {
+                0
+            }
+        };
         SlotCache {
             capacity,
+            victims,
             index,
             keys: Vec::with_capacity(capacity),
-            dirty: Vec::with_capacity(capacity),
-            refbit: Vec::with_capacity(capacity),
-            linked,
-            prev: Vec::with_capacity(if linked { capacity } else { 0 }),
-            next: Vec::with_capacity(if linked { capacity } else { 0 }),
+            refbit: Vec::with_capacity(column(Victims::Clock)),
+            prev: Vec::with_capacity(column(Victims::Lru)),
+            next: Vec::with_capacity(column(Victims::Lru)),
             head: NIL,
             tail: NIL,
             hand: 0,
@@ -158,6 +251,7 @@ impl SlotCache {
     }
 
     /// Number of resident keys.
+    #[inline]
     pub fn len(&self) -> usize {
         self.keys.len()
     }
@@ -168,77 +262,89 @@ impl SlotCache {
     }
 
     /// True once every slot is occupied (misses must evict).
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.keys.len() >= self.capacity
     }
 
     /// True if `key` is resident (no policy state update).
-    pub fn contains(&self, key: u64) -> bool {
+    pub fn contains(&self, key: I::Key) -> bool {
         self.index.get(key).is_some()
     }
 
     /// The slot holding `key`, if resident (no policy state update).
-    #[inline]
-    pub fn lookup(&self, key: u64) -> Option<u32> {
-        self.index.get(key)
+    pub fn lookup(&self, key: I::Key) -> Option<u32> {
+        self.index.get(key).map(|entry| entry >> 1)
     }
 
     /// The key resident in `slot`.
-    #[inline]
-    pub fn key_at(&self, slot: u32) -> u64 {
+    pub fn key_at(&self, slot: u32) -> I::Key {
         self.keys[slot as usize]
     }
 
-    /// Registers a hit on `slot`: sets the reference bit, ORs in the
-    /// dirty bit, and (when linked) moves the slot to the recency head.
-    #[inline]
-    pub fn touch_existing(&mut self, slot: u32, write: bool) {
-        let s = slot as usize;
-        self.dirty[s] |= write;
-        self.refbit[s] = true;
-        if self.linked {
-            self.unlink(slot);
-            self.push_front(slot);
+    /// Touches `key`: on a hit, ORs `write` into its dirty bit, updates
+    /// the victim mechanism's state (reference bit, recency order) and
+    /// returns true. On a miss nothing changes and the caller installs
+    /// the key with [`insert`](Self::insert) or
+    /// [`replace`](Self::replace).
+    #[inline(always)]
+    pub fn touch(&mut self, key: I::Key, write: bool) -> bool {
+        let Some(slot) = self.index.hit(key, write) else {
+            return false;
+        };
+        match self.victims {
+            Victims::Chosen => {}
+            Victims::Clock => self.refbit[slot as usize] = true,
+            Victims::Lru => {
+                self.unlink(slot);
+                self.push_front(slot);
+            }
         }
+        true
     }
 
     /// Installs `key` into a fresh slot while the cache is filling;
     /// returns the slot. The new entry is referenced, dirty iff `write`,
-    /// and (when linked) most-recent.
+    /// and (for LRU) most-recent.
     ///
     /// # Panics
     /// Panics if the cache is already full — use
     /// [`replace`](Self::replace) with a victim instead.
-    pub fn insert(&mut self, key: u64, write: bool) -> u32 {
+    #[inline(always)]
+    pub fn insert(&mut self, key: I::Key, write: bool) -> u32 {
         assert!(!self.is_full(), "insert on a full slot cache");
         let slot = self.keys.len() as u32;
         self.keys.push(key);
-        self.dirty.push(write);
-        self.refbit.push(true);
-        if self.linked {
-            self.prev.push(NIL);
-            self.next.push(NIL);
-            self.push_front(slot);
+        self.index.set(key, slot << 1 | u32::from(write));
+        match self.victims {
+            Victims::Chosen => {}
+            Victims::Clock => self.refbit.push(true),
+            Victims::Lru => {
+                self.prev.push(NIL);
+                self.next.push(NIL);
+                self.push_front(slot);
+            }
         }
-        self.index.set(key, slot);
         slot
     }
 
     /// Evicts the occupant of `slot` and installs `key` in its place,
     /// returning `(old_key, old_dirty)`. The new entry is referenced,
-    /// dirty iff `write`, and (when linked) most-recent.
-    pub fn replace(&mut self, slot: u32, key: u64, write: bool) -> (u64, bool) {
+    /// dirty iff `write`, and (for LRU) most-recent.
+    #[inline(always)]
+    pub fn replace(&mut self, slot: u32, key: I::Key, write: bool) -> (I::Key, bool) {
         let s = slot as usize;
         let old_key = self.keys[s];
-        let old_dirty = self.dirty[s];
-        self.index.clear(old_key);
+        let old_dirty = self.index.take(old_key) & 1 == 1;
         self.keys[s] = key;
-        self.dirty[s] = write;
-        self.refbit[s] = true;
-        self.index.set(key, slot);
-        if self.linked {
-            self.unlink(slot);
-            self.push_front(slot);
+        self.index.set(key, slot << 1 | u32::from(write));
+        match self.victims {
+            Victims::Chosen => {}
+            Victims::Clock => self.refbit[s] = true,
+            Victims::Lru => {
+                self.unlink(slot);
+                self.push_front(slot);
+            }
         }
         (old_key, old_dirty)
     }
@@ -247,8 +353,14 @@ impl SlotCache {
     /// reference bits, until it finds an unreferenced slot.
     ///
     /// # Panics
-    /// Panics if the cache is empty.
+    /// Panics if the cache was built without the clock's reference bits
+    /// or is empty.
+    #[inline]
     pub fn clock_victim(&mut self) -> u32 {
+        assert!(
+            self.victims == Victims::Clock,
+            "clock victim needs a clock slot cache"
+        );
         assert!(!self.is_empty(), "clock victim on an empty cache");
         let n = self.keys.len() as u32;
         loop {
@@ -267,8 +379,12 @@ impl SlotCache {
     /// # Panics
     /// Panics if the cache was built without the recency list or is
     /// empty.
+    #[inline]
     pub fn lru_victim(&self) -> u32 {
-        assert!(self.linked, "lru victim needs a linked slot cache");
+        assert!(
+            self.victims == Victims::Lru,
+            "lru victim needs an lru slot cache"
+        );
         assert!(self.tail != NIL, "lru victim on an empty cache");
         self.tail
     }
@@ -310,30 +426,33 @@ mod tests {
 
     #[test]
     fn fill_then_hit() {
-        let mut c = SlotCache::new(4, true);
+        let mut c = SlotCache::new(4, Victims::Lru);
         let s = c.insert(10, false);
         assert_eq!(c.lookup(10), Some(s));
         assert!(c.contains(10));
         assert_eq!(c.key_at(s), 10);
         assert_eq!(c.len(), 1);
         assert!(!c.is_full());
+        assert!(c.touch(10, false));
+        assert!(!c.touch(11, false));
+        assert_eq!(c.len(), 1, "a missed touch installs nothing");
     }
 
     #[test]
     fn lru_victim_tracks_recency() {
-        let mut c = SlotCache::new(3, true);
-        let s1 = c.insert(1, false);
+        let mut c = SlotCache::new(3, Victims::Lru);
+        let _ = c.insert(1, false);
         let _ = c.insert(2, false);
         let _ = c.insert(3, false);
         // 1 is LRU; touching it promotes it, making 2 the victim.
         assert_eq!(c.key_at(c.lru_victim()), 1);
-        c.touch_existing(s1, false);
+        assert!(c.touch(1, false));
         assert_eq!(c.key_at(c.lru_victim()), 2);
     }
 
     #[test]
     fn replace_reports_old_entry_and_dirty_bit() {
-        let mut c = SlotCache::new(2, true);
+        let mut c = SlotCache::new(2, Victims::Lru);
         let s = c.insert(1, true);
         let _ = c.insert(2, false);
         let (old, dirty) = c.replace(s, 9, false);
@@ -346,7 +465,7 @@ mod tests {
 
     #[test]
     fn clock_gives_second_chances() {
-        let mut c = SlotCache::new(3, false);
+        let mut c = SlotCache::new(3, Victims::Clock);
         for k in 1..=3u64 {
             c.insert(k, false);
         }
@@ -356,29 +475,33 @@ mod tests {
         assert_eq!(c.key_at(v), 1);
         // Slot 1 (key 2) still has ref cleared; re-referencing key 3
         // protects it for the next sweep.
-        c.touch_existing(c.lookup(3).unwrap(), false);
+        assert!(c.touch(3, false));
         let v2 = c.clock_victim();
         assert_eq!(c.key_at(v2), 2);
     }
 
     #[test]
     fn dirty_bit_ors_across_touches() {
-        let mut c = SlotCache::new(2, false);
-        let s = c.insert(5, false);
-        c.touch_existing(s, false);
-        c.touch_existing(s, true);
-        c.touch_existing(s, false);
-        let (_, dirty) = c.replace(s, 6, false);
-        assert!(dirty);
+        for victims in [Victims::Chosen, Victims::Clock, Victims::Lru] {
+            let mut c = SlotCache::new(2, victims);
+            let s = c.insert(5, false);
+            c.touch(5, false);
+            c.touch(5, true);
+            c.touch(5, false);
+            let (_, dirty) = c.replace(s, 6, false);
+            assert!(dirty, "{victims:?}");
+            let (_, dirty) = c.replace(s, 7, false);
+            assert!(!dirty, "{victims:?}: a replaced entry starts clean");
+        }
     }
 
     #[test]
     fn dense_index_behaves_like_open_map() {
         // Same operation sequence through both index kinds must agree on
-        // every observable: lookups, victims, replace results.
-        let mut open = SlotCache::new(3, true);
-        let mut dense = SlotCache::with_dense_keys(3, true, 64);
-        let ops: &[(u64, bool)] = &[
+        // every observable: hits, lookups, victims, replace results.
+        let mut open = SlotCache::new(3, Victims::Lru);
+        let mut dense = SlotCache::with_dense_keys(3, Victims::Lru, 64);
+        let ops: &[(u32, bool)] = &[
             (5, false),
             (9, true),
             (5, false),
@@ -388,26 +511,28 @@ mod tests {
             (3, false),
         ];
         for &(key, write) in ops {
-            let a = open.lookup(key);
-            let b = dense.lookup(key);
-            assert_eq!(a, b, "lookup {key}");
-            match a {
-                Some(slot) => {
-                    open.touch_existing(slot, write);
-                    dense.touch_existing(slot, write);
-                }
-                None if !open.is_full() => {
-                    assert_eq!(open.insert(key, write), dense.insert(key, write));
-                }
-                None => {
-                    let (vo, vd) = (open.lru_victim(), dense.lru_victim());
-                    assert_eq!(vo, vd);
-                    assert_eq!(open.replace(vo, key, write), dense.replace(vd, key, write));
-                }
+            let k = u64::from(key);
+            assert_eq!(open.lookup(k), dense.lookup(key), "lookup {key}");
+            let hit = open.touch(k, write);
+            assert_eq!(hit, dense.touch(key, write), "touch {key}");
+            if hit {
+                // Nothing to install.
+            } else if !open.is_full() {
+                assert_eq!(open.insert(k, write), dense.insert(key, write));
+            } else {
+                let (vo, vd) = (open.lru_victim(), dense.lru_victim());
+                assert_eq!(vo, vd);
+                let (old_open, dirty_open) = open.replace(vo, k, write);
+                let (old_dense, dirty_dense) = dense.replace(vd, key, write);
+                assert_eq!((old_open, dirty_open), (u64::from(old_dense), dirty_dense));
             }
             assert_eq!(open.len(), dense.len());
-            for k in 0..16u64 {
-                assert_eq!(open.contains(k), dense.contains(k), "contains {k}");
+            for k in 0..16u32 {
+                assert_eq!(
+                    open.contains(u64::from(k)),
+                    dense.contains(k),
+                    "contains {k}"
+                );
             }
         }
     }
@@ -415,20 +540,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "universe")]
     fn dense_rejects_zero_universe() {
-        SlotCache::with_dense_keys(4, false, 0);
+        SlotCache::with_dense_keys(4, Victims::Chosen, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "u32 keys")]
+    fn dense_rejects_keys_beyond_u32() {
+        SlotCache::with_dense_keys(4, Victims::Chosen, (1 << 32) + 1);
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn rejects_zero_capacity() {
-        SlotCache::new(0, false);
+        SlotCache::new(0, Victims::Chosen);
     }
 
     #[test]
     #[should_panic(expected = "full")]
     fn rejects_insert_when_full() {
-        let mut c = SlotCache::new(1, false);
+        let mut c = SlotCache::new(1, Victims::Chosen);
         c.insert(1, false);
         c.insert(2, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "clock slot cache")]
+    fn clock_victim_needs_reference_bits() {
+        let mut c = SlotCache::new(2, Victims::Lru);
+        c.insert(1, false);
+        c.clock_victim();
     }
 }

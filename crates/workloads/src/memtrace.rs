@@ -14,6 +14,8 @@
 //! `accesses_per_cpu_sec` is calibrated per workload so the resulting
 //! slowdown matches the published table at the paper's PCIe latency.
 
+use std::ops::Range;
+
 use wcs_simcore::dist::Zipf;
 use wcs_simcore::memo::{MemoHash, MemoKey};
 use wcs_simcore::{SimRng, ThreadPool};
@@ -296,33 +298,18 @@ impl MemTraceBuf {
         }
     }
 
-    /// Decodes accesses `[start, start + out.len())` into `out`, the
-    /// chunked-replay entry point: callers decode a cache-sized chunk
-    /// into scratch and run the same SoA kernel the generator path uses.
+    /// Accesses `range` as `(page, write)` pairs, read in place from the
+    /// packed columns — the replay kernels' input, which never
+    /// materializes [`PageAccess`] structs or staging copies.
     ///
     /// # Panics
     /// Panics if the range runs past the end of the trace.
-    pub fn fill_chunk(&self, start: usize, out: &mut [PageAccess]) {
-        for (j, slot) in out.iter_mut().enumerate() {
-            *slot = self.get(start + j);
-        }
-    }
-
-    /// Decodes accesses `[start, start + pages.len())` straight into SoA
-    /// scratch — packed `u32` page numbers plus one write byte (0/1) per
-    /// access — the staging step of the vectorized replay kernels, which
-    /// never materialize `PageAccess` structs.
-    ///
-    /// # Panics
-    /// Panics if the two slices disagree in length or the range runs
-    /// past the end of the trace.
-    pub fn fill_chunk_soa(&self, start: usize, pages: &mut [u32], writes: &mut [u8]) {
-        assert_eq!(pages.len(), writes.len(), "SoA scratch length mismatch");
-        pages.copy_from_slice(&self.pages[start..start + pages.len()]);
-        for (j, w) in writes.iter_mut().enumerate() {
-            let i = start + j;
-            *w = ((self.writes[i >> 6] >> (i & 63)) & 1) as u8;
-        }
+    #[inline]
+    pub fn accesses(&self, range: Range<usize>) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.pages[range.clone()]
+            .iter()
+            .zip(range)
+            .map(|(&page, i)| (page, (self.writes[i >> 6] >> (i & 63)) & 1 == 1))
     }
 }
 
@@ -385,23 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_chunk_decodes_ranges() {
-        let params = params_for(WorkloadId::Webmail);
-        let buf = MemTraceBuf::generate(params, 4, 1_000);
-        let mut scratch = vec![
-            PageAccess {
-                page: 0,
-                write: false
-            };
-            130
-        ];
-        buf.fill_chunk(500, &mut scratch);
-        for (j, a) in scratch.iter().enumerate() {
-            assert_eq!(*a, buf.get(500 + j));
-        }
-    }
-
-    #[test]
     fn parallel_generation_is_bit_identical_to_sequential() {
         let params = params_for(WorkloadId::Ytube);
         // Cover: sub-chunk, exact multiple, ragged multi-chunk.
@@ -435,16 +405,15 @@ mod tests {
     }
 
     #[test]
-    fn soa_chunk_decode_matches_get() {
+    fn in_place_accesses_match_get() {
+        // A range that starts and ends inside bitset words.
         let params = params_for(WorkloadId::MapredWc);
         let buf = MemTraceBuf::generate(params, 9, 2_000);
-        let mut pages = [0u32; 300];
-        let mut writes = [0u8; 300];
-        buf.fill_chunk_soa(700, &mut pages, &mut writes);
-        for j in 0..300 {
+        let got: Vec<(u32, bool)> = buf.accesses(700..1_000).collect();
+        assert_eq!(got.len(), 300);
+        for (j, &(page, write)) in got.iter().enumerate() {
             let a = buf.get(700 + j);
-            assert_eq!(u64::from(pages[j]), a.page, "access {j}");
-            assert_eq!(writes[j] != 0, a.write, "access {j}");
+            assert_eq!((u64::from(page), write), (a.page, a.write), "access {j}");
         }
     }
 
