@@ -16,11 +16,11 @@ use wcs_workloads::{ScenarioSpec, TrafficPack};
 /// 1000 RPS on two cores.
 struct ExpSource;
 impl RequestSource for ExpSource {
-    fn next_request(&mut self, rng: &mut SimRng) -> Vec<Stage> {
-        vec![Stage::new(
+    fn next_request(&mut self, rng: &mut SimRng, stages: &mut Vec<Stage>) {
+        stages.push(Stage::new(
             Resource::Cpu,
             rng.exp_duration(SimDuration::from_micros(800)),
-        )]
+        ));
     }
 }
 

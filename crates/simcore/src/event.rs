@@ -247,8 +247,7 @@ impl<E> Wheel<E> {
 ///   (6 levels × 64 slots, 1 ns granularity, `2^36` ns horizon) that
 ///   buckets events by timestamp: O(1) insert, cascade-amortized O(1)
 ///   pop, and same-instant events land in one level-0 slot in FIFO
-///   order, which is what makes [`pop_epoch`](Self::pop_epoch) a slice
-///   drain instead of repeated heap pops.
+///   order, so each pops off the slot's front with no comparison.
 /// * **Heap** — the indexed 4-ary min-heap. It takes every lane insert
 ///   while fewer than [`AUTO_WHEEL_MIN_DEPTH`] events are pending (where
 ///   sift costs are trivial and the wheel's fixed overheads are not
@@ -510,73 +509,6 @@ impl<E> EventQueue<E> {
         debug_assert!(s.when >= self.now);
         self.now = s.when;
         Some((s.when, s.payload))
-    }
-
-    /// Drains *every* event firing at the earliest pending instant into
-    /// `out` (cleared first), in exact pop order, advancing the clock to
-    /// that instant. Returns the epoch's firing time, or `None` when the
-    /// queue is empty.
-    ///
-    /// This is the batched delivery path: one lane comparison per epoch
-    /// instead of one per event, and the wheel contributes its entire
-    /// level-0 slot (all events of the instant, already FIFO) as a
-    /// slice-style drain. Events the caller schedules *while processing*
-    /// the batch carry higher sequence numbers than everything drained,
-    /// so delivering them in a follow-up epoch (same instant or later)
-    /// reproduces exactly the one-at-a-time [`pop`](Self::pop) order.
-    pub fn pop_epoch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
-        out.clear();
-        self.wheel.prepare_min();
-        let heap_t = self.heap.first().map(|s| s.when);
-        let wheel_t = self.wheel.front_key().map(|(t, _)| t);
-        let lane_t = match (heap_t, wheel_t) {
-            (Some(h), Some(w)) => Some(h.min(w)),
-            (h, w) => h.or(w),
-        };
-        let buf_t = (!self.immediate.is_empty()).then_some(self.imm_time);
-        let t = match (lane_t, buf_t) {
-            (Some(l), Some(b)) => l.min(b),
-            (l, b) => l.or(b)?,
-        };
-        if lane_t.is_some_and(|l| l == t) {
-            // Merge the two lane runs at `t` by sequence number; each
-            // lane yields its own run in ascending seq already.
-            loop {
-                let h = self
-                    .heap
-                    .first()
-                    .filter(|s| s.when == t)
-                    .map(|s| s.seq)
-                    .unwrap_or(u64::MAX);
-                let w = self
-                    .wheel
-                    .front_key()
-                    .filter(|&(wt, _)| wt == t)
-                    .map(|(_, seq)| seq)
-                    .unwrap_or(u64::MAX);
-                if h == u64::MAX && w == u64::MAX {
-                    break;
-                }
-                if w < h {
-                    out.push(self.wheel.pop_front().payload);
-                } else {
-                    let last = self.heap.len() - 1;
-                    self.heap.swap(0, last);
-                    let s = self.heap.pop().expect("checked non-empty");
-                    if !self.heap.is_empty() {
-                        self.sift_down(0);
-                    }
-                    out.push(s.payload);
-                }
-            }
-        }
-        if !self.immediate.is_empty() && self.imm_time == t {
-            // Buffer entries carry the highest seqs at this instant.
-            out.extend(self.immediate.drain(..));
-        }
-        debug_assert!(t >= self.now);
-        self.now = t;
-        Some(t)
     }
 
     /// The firing time of the earliest pending event, if any.
@@ -1112,99 +1044,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, AUTO_WHEEL_MIN_DEPTH / 2 + 4 * AUTO_WHEEL_MIN_DEPTH);
-    }
-
-    // ------------------------------------------------------------------
-    // pop_epoch: batched delivery must replay exactly the pop order.
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn pop_epoch_matches_pop_order() {
-        let mut rng = crate::SimRng::seed_from(2024);
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        for id in 0..3000u64 {
-            let when = [0u64, 0, 3, 17, 1 << 20][rng.next_u64() as usize % 5];
-            let t = SimTime::from_nanos(a.now().as_nanos() + when);
-            a.schedule(t, id);
-            b.schedule(t, id);
-            if rng.chance(0.3) {
-                if let Some((t, e)) = a.pop() {
-                    let mut epoch = Vec::new();
-                    // Single-event epochs via pop must match the head
-                    // of b's epoch; drain b one epoch at a time and
-                    // compare against a popped one-by-one.
-                    let bt = b.pop_epoch(&mut epoch).expect("same pending set");
-                    assert_eq!(t, bt);
-                    assert_eq!(e, epoch[0]);
-                    for want in &epoch[1..] {
-                        let (t2, e2) = a.pop().expect("epoch peer pending");
-                        assert_eq!(t2, bt);
-                        assert_eq!(e2, *want);
-                    }
-                }
-            }
-        }
-        let mut epoch = Vec::new();
-        while let Some(t) = b.pop_epoch(&mut epoch) {
-            for want in &epoch {
-                let (t2, e2) = a.pop().expect("epoch peer pending");
-                assert_eq!(t2, t, "epoch time diverged");
-                assert_eq!(e2, *want, "epoch order diverged");
-            }
-        }
-        assert_eq!(a.pop(), None, "pop lane had extra events");
-    }
-
-    #[test]
-    fn pop_epoch_drains_ties_across_all_three_lanes() {
-        // One instant torn across heap lane, wheel lane, and epoch
-        // buffer must come out as a single seq-ordered batch. Depth
-        // routing splits the lanes: shallow schedules hit the heap,
-        // deep ones the wheel.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(500);
-        q.schedule(SimTime::from_nanos(100), 0u64); // adopts the buffer epoch
-        let mut want = Vec::new();
-        let mut id = 1u64;
-        // Shallow: these land on the heap lane.
-        for _ in 0..8 {
-            q.schedule(t, id);
-            want.push(id);
-            id += 1;
-        }
-        // Fillers to push depth past the wheel threshold (later instant).
-        let mut fillers = 0;
-        while q.len() < AUTO_WHEEL_MIN_DEPTH {
-            q.schedule(SimTime::from_nanos(900), id);
-            id += 1;
-            fillers += 1;
-        }
-        // Deep: these land on the wheel lane, same instant `t`.
-        for _ in 0..8 {
-            q.schedule(t, id);
-            want.push(id);
-            id += 1;
-        }
-        let stats = q.obs_stats();
-        assert!(stats.calendar_hits > 0, "deep schedules used the wheel");
-        let mut epoch = Vec::new();
-        assert_eq!(q.pop_epoch(&mut epoch), Some(SimTime::from_nanos(100)));
-        assert_eq!(epoch, vec![0]);
-        // The `t` epoch merges the heap run and the wheel run by seq.
-        assert_eq!(q.pop_epoch(&mut epoch), Some(t));
-        assert_eq!(epoch, want, "heap+wheel runs must merge FIFO");
-        assert_eq!(q.pop_epoch(&mut epoch), Some(SimTime::from_nanos(900)));
-        assert_eq!(epoch.len(), fillers);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn pop_epoch_on_empty_queue_returns_none() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        let mut epoch = vec![1, 2, 3];
-        assert_eq!(q.pop_epoch(&mut epoch), None);
-        assert!(epoch.is_empty(), "pop_epoch clears the scratch");
     }
 
     #[test]

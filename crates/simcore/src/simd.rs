@@ -57,24 +57,6 @@ pub fn fold_mask_counts(codes: &[u8]) -> [u64; 8] {
     counts
 }
 
-/// Number of elements whose code byte is exactly `value`.
-#[must_use]
-pub fn fold_code_eq(codes: &[u8], value: u8) -> u64 {
-    let mut count = 0u64;
-    let mut chunks = codes.chunks_exact(FOLD_LANES);
-    for chunk in chunks.by_ref() {
-        let mut partial = 0u32;
-        for &c in chunk {
-            partial += u32::from(c == value);
-        }
-        count += u64::from(partial);
-    }
-    for &c in chunks.remainder() {
-        count += u64::from(c == value);
-    }
-    count
-}
-
 /// Fixed-shape pairwise sum of an f64 slice: the reduction tree is a
 /// pure function of `xs.len()`, so the result is bit-identical no matter
 /// how the surrounding code is threaded or chunked — and the pairwise
@@ -139,16 +121,6 @@ mod tests {
                 assert_eq!(count, want, "n={n} bit={b}");
             }
         }
-    }
-
-    #[test]
-    fn code_eq_matches_scalar_reference() {
-        let codes = random_codes(5000, 7);
-        for v in [0u8, 1, 3, 200, 255] {
-            let want = codes.iter().filter(|&&c| c == v).count() as u64;
-            assert_eq!(fold_code_eq(&codes, v), want);
-        }
-        assert_eq!(fold_code_eq(&[], 0), 0);
     }
 
     #[test]

@@ -174,7 +174,9 @@ impl Histogram {
         if x <= FLOOR {
             return 0;
         }
-        let b = ((x / FLOOR).ln() / GROWTH.ln()).floor() as usize;
+        // `x > FLOOR` makes the quotient non-negative, so the truncating
+        // cast already is the floor (without `floor()`'s libm call).
+        let b = ((x / FLOOR).ln() / GROWTH.ln()) as usize;
         b.min(NBUCKETS - 1)
     }
 
@@ -486,6 +488,20 @@ mod tests {
         let g = geometric_mean(&vals).unwrap();
         let a = vals.iter().sum::<f64>() / vals.len() as f64;
         assert!(h <= g && g <= a);
+    }
+
+    #[test]
+    fn bucket_truncation_matches_floor() {
+        let reference = |x: f64| {
+            if x <= FLOOR {
+                return 0;
+            }
+            (((x / FLOOR).ln() / GROWTH.ln()).floor() as usize).min(NBUCKETS - 1)
+        };
+        crate::time::rounding_probes(|ns| {
+            let x = ns * 1e-9;
+            assert_eq!(Histogram::bucket_of(x), reference(x), "{x:e} s");
+        });
     }
 
     #[test]

@@ -91,12 +91,13 @@ impl SimDuration {
     }
 
     /// Creates a span from float seconds, rounding to the nearest
-    /// nanosecond. Negative and non-finite inputs clamp to zero.
+    /// nanosecond (halves up) and saturating at `u64::MAX` ns. Negative
+    /// and non-finite inputs clamp to zero.
     pub fn from_secs_f64(secs: f64) -> Self {
         if !secs.is_finite() || secs <= 0.0 {
             return SimDuration::ZERO;
         }
-        SimDuration((secs * 1e9).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_nanos(secs * 1e9))
     }
 
     /// The span in nanoseconds.
@@ -112,6 +113,78 @@ impl SimDuration {
     /// True when the span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
+    }
+}
+
+/// `ns.round().min(u64::MAX as f64) as u64` for `ns >= 0`, without the
+/// libm call `f64::round` compiles to on the baseline x86-64 target.
+///
+/// Below 2^52 both the cast back and `ns - whole` are exact, so the
+/// remainder test is exact; from 2^52 on `ns` is already whole; from
+/// 2^64 on the cast saturates, and so does the increment.
+#[inline]
+fn round_nanos(ns: f64) -> u64 {
+    let whole = ns as u64;
+    whole.saturating_add(u64::from(ns - whole as f64 >= 0.5))
+}
+
+/// Calls `probe` with every value the rounding tests sweep, read as
+/// nanoseconds: special values, exact half-way points `k + 0.5` and
+/// both neighbouring doubles for every `k <= 10^6`, runs of consecutive
+/// doubles in `[2^51, 2^53)`, around `2^64` and from `2^65`, and 10^7
+/// seeded random bit patterns, every other one with its exponent
+/// remapped into `[2^-4, 2^68)`.
+#[cfg(test)]
+pub(crate) fn rounding_probes(mut probe: impl FnMut(f64)) {
+    for x in [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.5,
+        -1e300,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 3.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::MAX,
+        1e20,
+        1e300,
+    ] {
+        probe(x);
+    }
+    for k in 0..=1_000_000u32 {
+        let half = f64::from(k) + 0.5;
+        probe(half.next_down());
+        probe(half);
+        probe(half.next_up());
+    }
+    let runs = |probe: &mut dyn FnMut(f64), from: f64, up: bool| {
+        let mut x = from;
+        for _ in 0..4096 {
+            probe(x);
+            x = if up { x.next_up() } else { x.next_down() };
+        }
+    };
+    for p in [51, 52, 53, 64] {
+        let edge = 2f64.powi(p);
+        runs(&mut probe, edge, true);
+        runs(&mut probe, edge.next_down(), false);
+    }
+    runs(&mut probe, 1.5 * 2f64.powi(51), true);
+    runs(&mut probe, 1.5 * 2f64.powi(52), true);
+    runs(&mut probe, 2f64.powi(65), true);
+    let mut rng = crate::SimRng::seed_from(0x5EED_2024);
+    for i in 0..10_000_000 {
+        let bits = rng.next_u64();
+        if i % 2 == 0 {
+            probe(f64::from_bits(bits));
+        } else {
+            let exponent = 1019 + (bits >> 52) % 72;
+            probe(f64::from_bits((exponent << 52) | (bits & ((1 << 52) - 1))));
+        }
     }
 }
 
@@ -206,6 +279,27 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-3.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::ZERO);
+    }
+
+    /// `from_secs_f64` as it was written with `f64::round`: the
+    /// reference the libm-free rounding must match bit for bit.
+    fn reference_from_secs(secs: f64) -> u64 {
+        if !secs.is_finite() || secs <= 0.0 {
+            return 0;
+        }
+        (secs * 1e9).round().min(u64::MAX as f64) as u64
+    }
+
+    #[test]
+    fn rounding_matches_the_libm_reference() {
+        rounding_probes(|x| {
+            let got = SimDuration::from_secs_f64(x).as_nanos();
+            assert_eq!(got, reference_from_secs(x), "{x:e} s");
+            if x >= 0.0 {
+                let want = x.round().min(u64::MAX as f64) as u64;
+                assert_eq!(round_nanos(x), want, "{x:e} ns");
+            }
+        });
     }
 
     #[test]

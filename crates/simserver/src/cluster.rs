@@ -320,7 +320,8 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
     /// (zero-demand requests complete instantly and are counted).
     fn launch(&mut self, k: &mut Kernel<Self>, now: SimTime) {
         while k.completed + self.dropped_total < self.target {
-            let mut stages = self.source.next_request(&mut self.rng);
+            let mut stages = k.stage_list();
+            self.source.next_request(&mut self.rng, &mut stages);
             if let Some(b) = &mut self.budget {
                 b.on_request();
                 self.stats.offered += 1;

@@ -149,6 +149,19 @@ impl<A: Adapter> Kernel<A> {
         }
     }
 
+    /// An empty stage list for the next request: the one the slot
+    /// [`alloc`](Self::alloc) hands out next still holds, so in steady
+    /// state a request allocates nothing.
+    #[inline(always)]
+    pub fn stage_list(&mut self) -> Vec<Stage> {
+        let mut stages = match self.free.last() {
+            Some(&slot) => std::mem::take(&mut self.slots[slot].work.stages),
+            None => Vec::new(),
+        };
+        stages.clear();
+        stages
+    }
+
     /// Takes a slot (the most recently freed one first) for work bound
     /// to `server`; [`enqueue`](Self::enqueue) queues it.
     #[inline(always)]
@@ -173,7 +186,8 @@ impl<A: Adapter> Kernel<A> {
     }
 
     /// Frees a slot, voiding every event still carrying its generation.
-    /// Its work and data stay readable until the slot is reused.
+    /// Its work and data stay readable until the slot is reused (its
+    /// stage list until [`stage_list`](Self::stage_list) recycles it).
     #[inline(always)]
     pub fn release(&mut self, slot: usize) {
         let s = &mut self.slots[slot];
@@ -189,36 +203,47 @@ impl<A: Adapter> Kernel<A> {
         s.server as usize * 4 + s.work.stages[s.next as usize].resource.index()
     }
 
-    /// Queues a request at its current stage's station (and, for eager
-    /// adapters, starts that station).
+    /// Queues a request at its current stage's station. An eager
+    /// adapter's request starts at once when the station has a free
+    /// server and nothing queued; queued work starts in FCFS order as
+    /// servers free up.
     #[inline(always)]
     pub fn enqueue(&mut self, slot: usize, now: SimTime) {
         let station = self.station_of(slot);
         self.slots[slot].enqueued_at = now;
-        self.stations[station].queue.push_back(slot as u32);
-        if A::EAGER {
-            self.try_start(station, now);
+        let st = &mut self.stations[station];
+        if A::EAGER && st.busy < st.servers && st.queue.is_empty() {
+            self.start(station, slot, now);
+        } else {
+            st.queue.push_back(slot as u32);
         }
     }
 
     /// Starts queued work at one station while it has free servers.
     #[inline(always)]
-    pub fn try_start(&mut self, station: usize, now: SimTime) {
-        let st = &mut self.stations[station];
-        while st.busy < st.servers {
-            let Some(slot) = st.queue.pop_front() else {
+    fn try_start(&mut self, station: usize, now: SimTime) {
+        while self.stations[station].busy < self.stations[station].servers {
+            let Some(slot) = self.stations[station].queue.pop_front() else {
                 break;
             };
-            st.busy += 1;
-            let s = &mut self.slots[slot as usize];
-            let service = s.work.stages[s.next as usize].service;
-            st.busy_ns += service.as_nanos() as u128;
-            let queued = now.saturating_sub(s.enqueued_at);
-            A::on_start(&mut s.data, Resource::ALL[station % 4], queued, service);
-            let (gen, station) = (s.gen, station as u32);
-            self.events
-                .schedule(now + service, Ev::Done { slot, gen, station });
+            self.start(station, slot as usize, now);
         }
+    }
+
+    /// Puts a slot's current stage into service at `station`, which has
+    /// a free server, and schedules its completion.
+    #[inline(always)]
+    fn start(&mut self, station: usize, slot: usize, now: SimTime) {
+        let st = &mut self.stations[station];
+        st.busy += 1;
+        let s = &mut self.slots[slot];
+        let service = s.work.stages[s.next as usize].service;
+        st.busy_ns += service.as_nanos() as u128;
+        let queued = now.saturating_sub(s.enqueued_at);
+        A::on_start(&mut s.data, Resource::ALL[station % 4], queued, service);
+        let (slot, gen, station) = (slot as u32, s.gen, station as u32);
+        self.events
+            .schedule(now + service, Ev::Done { slot, gen, station });
     }
 
     /// Starts every station of server 0, in [`Resource::ALL`] order.
@@ -298,40 +323,36 @@ impl<A: Adapter> Kernel<A> {
     /// Runs the event loop until the adapter is done or no events
     /// remain.
     ///
-    /// Every event of an instant is drained as one epoch
-    /// (`pop_epoch`) and then processed in exact pop order: anything
-    /// scheduled while processing carries a higher sequence number, so
-    /// it lands in a later epoch exactly as one-at-a-time delivery
-    /// would order it. Stopping mid-epoch leaves the clock at the epoch
-    /// instant with the rest of the epoch unprocessed, as a per-event
-    /// loop would.
+    /// Events are taken one at a time with [`EventQueue::pop`], in
+    /// `(when, seq)` order: time order, and among events of one instant
+    /// the order they were scheduled in, so work scheduled while an
+    /// instant is handled runs after that instant's earlier events.
+    /// The adapter is asked after every event whether the run is done;
+    /// events still pending then are never delivered.
     pub fn run(&mut self, a: &mut A) {
-        let mut epoch = Vec::new();
-        'run: while let Some(now) = self.events.pop_epoch(&mut epoch) {
+        while let Some((now, ev)) = self.events.pop() {
             #[cfg(debug_assertions)]
             self.integrate(now);
-            for ev in epoch.drain(..) {
-                match ev {
-                    Ev::Done { slot, gen, station } => {
-                        if self.slots[slot as usize].gen == gen {
-                            self.stage_done(a, slot as usize, station as usize, now);
-                        }
+            match ev {
+                Ev::Done { slot, gen, station } => {
+                    if self.slots[slot as usize].gen == gen {
+                        self.stage_done(a, slot as usize, station as usize, now);
                     }
-                    Ev::Retry(handle) => {
-                        self.stash_free.push(handle);
-                        let work = std::mem::take(&mut self.stash[handle as usize]);
-                        a.on_retry(self, work, now);
-                    }
-                    Ev::Hook(e) => a.on_event(self, e, now),
                 }
-                if !A::EAGER {
-                    self.start_all(now);
+                Ev::Retry(handle) => {
+                    self.stash_free.push(handle);
+                    let work = std::mem::take(&mut self.stash[handle as usize]);
+                    a.on_retry(self, work, now);
                 }
-                #[cfg(debug_assertions)]
-                self.check_conservation();
-                if a.done(self) {
-                    break 'run;
-                }
+                Ev::Hook(e) => a.on_event(self, e, now),
+            }
+            if !A::EAGER {
+                self.start_all(now);
+            }
+            #[cfg(debug_assertions)]
+            self.check_conservation();
+            if a.done(self) {
+                break;
             }
         }
         #[cfg(debug_assertions)]
@@ -386,7 +407,7 @@ impl<A: Adapter> Kernel<A> {
         }
     }
 
-    /// Accumulates each station's occupancy since the last epoch.
+    /// Accumulates each station's occupancy since the last event.
     #[cfg(debug_assertions)]
     fn integrate(&mut self, now: SimTime) {
         let dt = u128::from(now.saturating_sub(self.little_at).as_nanos());

@@ -30,8 +30,8 @@
 //!
 //! struct Fixed;
 //! impl RequestSource for Fixed {
-//!     fn next_request(&mut self, _rng: &mut SimRng) -> Vec<Stage> {
-//!         vec![Stage::new(Resource::Cpu, SimDuration::from_micros(500))]
+//!     fn next_request(&mut self, _rng: &mut SimRng, stages: &mut Vec<Stage>) {
+//!         stages.push(Stage::new(Resource::Cpu, SimDuration::from_micros(500)));
 //!     }
 //! }
 //!

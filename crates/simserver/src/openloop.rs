@@ -215,7 +215,8 @@ impl OpenLoop<'_> {
         self.schedule_arrival(k, now);
         let idx = self.arrivals;
         self.arrivals += 1;
-        let stages = self.source.next_request(&mut self.rng);
+        let mut stages = k.stage_list();
+        self.source.next_request(&mut self.rng, &mut stages);
         self.stats.offered += 1;
         if let Some(b) = &mut self.budget {
             b.on_request();

@@ -68,23 +68,28 @@ impl Stage {
     }
 }
 
-/// A source of requests: each call returns the next request's stage list.
+/// A source of requests: each call appends the next request's stages
+/// to a stage list.
 ///
-/// Workload models implement this; stage service times should already be
-/// scaled to the platform under test. Returning an empty stage list is
+/// The list arrives empty, and the simulator recycles it from a finished
+/// request, so a source that only pushes allocates nothing once the run
+/// is warm. Workload models implement this; stage service times should
+/// already be scaled to the platform under test. Appending no stage is
 /// allowed and models a request served entirely from in-core caches with
 /// negligible demand (completes instantly).
+///
+/// A closure returning its request's stages is a source too.
 pub trait RequestSource {
-    /// Generates the next request.
-    fn next_request(&mut self, rng: &mut SimRng) -> Vec<Stage>;
+    /// Appends the next request's stages to `stages`, which is empty.
+    fn next_request(&mut self, rng: &mut SimRng, stages: &mut Vec<Stage>);
 }
 
 impl<F> RequestSource for F
 where
     F: FnMut(&mut SimRng) -> Vec<Stage>,
 {
-    fn next_request(&mut self, rng: &mut SimRng) -> Vec<Stage> {
-        self(rng)
+    fn next_request(&mut self, rng: &mut SimRng, stages: &mut Vec<Stage>) {
+        stages.extend(self(rng));
     }
 }
 
@@ -107,7 +112,8 @@ mod tests {
         let mut src =
             |_rng: &mut SimRng| vec![Stage::new(Resource::Cpu, SimDuration::from_micros(1))];
         let mut rng = SimRng::seed_from(0);
-        let req = src.next_request(&mut rng);
+        let mut req = Vec::new();
+        src.next_request(&mut rng, &mut req);
         assert_eq!(req.len(), 1);
         assert_eq!(req[0].resource, Resource::Cpu);
     }

@@ -282,13 +282,13 @@ fn server_sim_closed_loop() {
     pin(
         "closed/shapes",
         run_case(&stats),
-        (0x6d25dc234e74eb9e, Some(0xd91672ab5177830f)),
+        (0x6d25dc234e74eb9e, Some(0x4a4caf93e5181818)),
     );
     let stats = sim.run_closed_loop(&mut fixed, 5, 50, 1000, 13);
     pin(
         "closed/fixed",
         run_case(&stats),
-        (0x83cae00966da458f, Some(0x1e70f92b1cd8f6ae)),
+        (0x83cae00966da458f, Some(0xa19444b6ce34e287)),
     );
     let stats = sim.run_closed_loop(&mut mostly_empty, 3, 40, 600, 14);
     pin(
@@ -311,7 +311,7 @@ fn server_sim_think_time() {
     pin(
         "think/fixed",
         run_case(&stats),
-        (0x1cac8fb395d0654e, Some(0x7a47b5a43ae9a536)),
+        (0x1cac8fb395d0654e, Some(0x6d0eb1c15796522a)),
     );
 }
 
@@ -361,7 +361,7 @@ fn batch_runs() {
     pin(
         "batch/tie-order",
         (digest_a(|d| d.batch(&res)), Some(digest_b(&res.queue))),
-        (0xfdbc1da5144a0fad, Some(0xbe8269b24ec99fe0)),
+        (0xfdbc1da5144a0fad, Some(0xc3db1c98f1bfe061)),
     );
     let mut rng = SimRng::seed_from(30);
     let mut shape = shapes();
@@ -370,7 +370,7 @@ fn batch_runs() {
     pin(
         "batch/shapes",
         (digest_a(|d| d.batch(&res)), Some(digest_b(&res.queue))),
-        (0x9c484a658148c068, Some(0x970c5cc4a1e3620a)),
+        (0x9c484a658148c068, Some(0xcfa5ecc4fe829a48)),
     );
     let task = vec![
         Stage::new(Resource::Cpu, ms(10)),
@@ -382,7 +382,7 @@ fn batch_runs() {
     pin(
         "batch/identical",
         (digest_a(|d| d.batch(&res)), Some(digest_b(&res.queue))),
-        (0x1031014b7d305f6a, Some(0xd2a569fad4938d07)),
+        (0x1031014b7d305f6a, Some(0x95efa73ac4c40da2)),
     );
     let mut rng = SimRng::seed_from(31);
     let tasks: Vec<Vec<Stage>> = (0..60).map(|_| mixed(&mut rng)).collect();
@@ -495,7 +495,7 @@ fn open_loop_resilient() {
     pin(
         "resilient/all-on",
         resilient_case(&stats, &res),
-        (0xd1e9708f9b6e3900, Some(0x64a483fa5d2ef902)),
+        (0xd1e9708f9b6e3900, Some(0x06e815d20260ecb0)),
     );
     let (stats, res) = run_open_loop_resilient(
         spec(),
@@ -575,7 +575,7 @@ fn cluster_shapes() {
     pin(
         "cluster/shapes",
         run_case(&stats),
-        (0x914ca18003c4f250, Some(0x785b68fd76eaa242)),
+        (0x914ca18003c4f250, Some(0xe99cca3f76360428)),
     );
 }
 
@@ -610,17 +610,17 @@ fn cluster_faulted() {
         (
             "faulted/round-robin",
             Dispatch::RoundRobin,
-            (0xbaa5532ba3d86932, Some(0x15ecac3c53555b85)),
+            (0xbaa5532ba3d86932, Some(0xb07db1c79bb9c881)),
         ),
         (
             "faulted/least-loaded",
             Dispatch::LeastLoaded,
-            (0x61e43d52ce9f4813, Some(0xa93b7746f0cb5d4e)),
+            (0x61e43d52ce9f4813, Some(0x01e8a860cb5e8a0a)),
         ),
         (
             "faulted/random",
             Dispatch::Random,
-            (0x054a95a9b2523774, Some(0x5a7ec64265ca7a54)),
+            (0x054a95a9b2523774, Some(0x6befedf5f718e515)),
         ),
     ] {
         let stats = cluster(4, dispatch)
@@ -651,7 +651,7 @@ fn cluster_faulted() {
     pin(
         "faulted/whole-outage",
         run_case(&stats),
-        (0x504a59d104833ab9, Some(0xb557b2a14d8b5e60)),
+        (0x504a59d104833ab9, Some(0x0e4f2b55cc261ef6)),
     );
 }
 

@@ -220,12 +220,11 @@ impl DemandSource {
 }
 
 impl RequestSource for DemandSource {
-    fn next_request(&mut self, rng: &mut SimRng) -> Vec<Stage> {
+    fn next_request(&mut self, rng: &mut SimRng, stages: &mut Vec<Stage>) {
         // One size factor per request: a big request is big at every
         // station (a large mail has more bytes to read, hash, and send).
         let f = self.scale(rng);
         let d = &self.demand;
-        let mut stages = Vec::with_capacity(4);
         for (resource, secs) in [
             (Resource::Memory, d.mem_secs),
             (Resource::Cpu, d.cpu_secs),
@@ -237,7 +236,6 @@ impl RequestSource for DemandSource {
                 stages.push(Stage::new(resource, SimDuration::from_secs_f64(scaled)));
             }
         }
-        stages
     }
 }
 
@@ -322,8 +320,10 @@ mod tests {
         let mut rng = SimRng::seed_from(5);
         let mut total = 0.0;
         let n = 20_000;
+        let mut stages = Vec::new();
         for _ in 0..n {
-            let stages = src.next_request(&mut rng);
+            stages.clear();
+            src.next_request(&mut rng, &mut stages);
             total += stages.iter().map(|s| s.service.as_secs_f64()).sum::<f64>();
         }
         let mean = total / n as f64;

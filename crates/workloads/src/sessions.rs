@@ -160,7 +160,7 @@ impl SessionSource {
 }
 
 impl RequestSource for SessionSource {
-    fn next_request(&mut self, rng: &mut SimRng) -> Vec<Stage> {
+    fn next_request(&mut self, rng: &mut SimRng, stages: &mut Vec<Stage>) {
         if self.pending.is_empty() {
             self.pending = self.gen.next_session(rng);
             self.pending.reverse(); // pop from the back in order
@@ -168,7 +168,6 @@ impl RequestSource for SessionSource {
         let action = self.pending.pop().expect("session is non-empty");
         let mult = self.gen.normalized_multiplier(action);
         let d = &self.demand;
-        let mut stages = Vec::with_capacity(4);
         for (resource, secs) in [
             (wcs_simserver::Resource::Memory, d.mem_secs()),
             (wcs_simserver::Resource::Cpu, d.cpu_secs()),
@@ -183,7 +182,6 @@ impl RequestSource for SessionSource {
                 ));
             }
         }
-        stages
     }
 }
 
@@ -242,12 +240,11 @@ mod tests {
         let mut rng = SimRng::seed_from(11);
         let n = 20_000;
         let mut total = 0.0;
+        let mut stages = Vec::new();
         for _ in 0..n {
-            total += src
-                .next_request(&mut rng)
-                .iter()
-                .map(|s| s.service.as_secs_f64())
-                .sum::<f64>();
+            stages.clear();
+            src.next_request(&mut rng, &mut stages);
+            total += stages.iter().map(|s| s.service.as_secs_f64()).sum::<f64>();
         }
         let mean = total / n as f64;
         assert!(

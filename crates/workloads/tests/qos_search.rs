@@ -165,8 +165,8 @@ fn search_is_a_prefix_of_the_reference_on_the_platform_grid() {
 struct OneMs;
 
 impl RequestSource for OneMs {
-    fn next_request(&mut self, _rng: &mut SimRng) -> Vec<Stage> {
-        vec![Stage::new(Resource::Cpu, SimDuration::from_millis(1))]
+    fn next_request(&mut self, _rng: &mut SimRng, stages: &mut Vec<Stage>) {
+        stages.push(Stage::new(Resource::Cpu, SimDuration::from_millis(1)));
     }
 }
 
