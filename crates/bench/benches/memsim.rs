@@ -13,15 +13,31 @@ const ACCESSES: usize = 100_000;
 fn bench_policies(c: &mut Criterion) {
     // Generated once: each iteration times the replay of the same trace
     // into a cold store, not the Zipf set-up that builds the trace.
-    let trace = MemTraceBuf::generate(params_for(WorkloadId::Websearch), 9, ACCESSES);
+    let params = params_for(WorkloadId::Websearch);
+    let trace = MemTraceBuf::generate(params, 9, ACCESSES);
     let mut group = c.benchmark_group("twolevel_replay_100k");
     for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
+        // The open (hashed) store, then the store every evaluator replay
+        // builds over the trace's known footprint: a direct-indexed
+        // `u32` entry per page, or two flag bits per page under random
+        // replacement.
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{policy:?}")),
             &policy,
             |b, &policy| {
                 b.iter(|| {
                     let mut sim = TwoLevelSim::new(131_072, policy, 7);
+                    black_box(sim.run_buf(&trace, 0, ACCESSES as u64))
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("{policy:?}"), "universe"),
+            &policy,
+            |b, &policy| {
+                b.iter(|| {
+                    let mut sim =
+                        TwoLevelSim::with_page_universe(131_072, policy, 7, params.footprint_pages);
                     black_box(sim.run_buf(&trace, 0, ACCESSES as u64))
                 })
             },

@@ -3,10 +3,11 @@
 //! The slot bookkeeping (key index with folded dirty bits, reference
 //! bits, clock hand) is the shared [`SlotCache`] kernel — the same
 //! machinery the memshare page store uses — leaving this module with
-//! what is flash-specific: wear accounting (program bytes, erases)
+//! what is flash-specific: the extent geometry that turns a request's
+//! block into a dense key, and wear accounting (program bytes, erases)
 //! layered over the kernel's events.
 
-use wcs_simcore::slotcache::{SlotCache, Victims};
+use wcs_simcore::slotcache::{DenseKeys, SlotCache, Victims};
 
 /// Wear statistics for the flash device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -48,43 +49,60 @@ impl WearStats {
 
 /// A flash cache over fixed-size extents (a workload's request size).
 ///
-/// Entries are whole request extents; eviction is clock (second chance);
-/// writes are absorbed write-back, so a dirty extent's eviction costs an
-/// erase plus the background flush the [`crate::system`] layer accounts.
+/// Entries are whole request extents, keyed by extent number
+/// (`block / extent_blocks`) in a dense index over the stream's extent
+/// count; eviction is clock (second chance); writes are absorbed
+/// write-back, so a dirty extent's eviction costs an erase plus the
+/// background flush the [`crate::system`] layer accounts.
 ///
 /// # Example
 /// ```
 /// use wcs_flashcache::cache::FlashCacheIndex;
-/// let mut c = FlashCacheIndex::new(2);
-/// assert!(!c.access(10, false)); // miss, inserted
-/// assert!(c.access(10, false));  // hit
+/// // Room for two 16-block extents of a 100-extent stream.
+/// let mut c = FlashCacheIndex::new(2, 16, 100);
+/// assert!(!c.access(160, false)); // extent 10: miss, inserted
+/// assert!(c.access(160, false)); // hit
 /// ```
 #[derive(Debug)]
 pub struct FlashCacheIndex {
-    cache: SlotCache,
-    wear_extent_bytes: u64,
+    cache: SlotCache<DenseKeys>,
+    extent_blocks: u32,
+    extents: u64,
     wear: WearStats,
 }
 
 impl FlashCacheIndex {
     /// Creates a cache holding up to `capacity` extents (clamped up to
-    /// one).
-    pub fn new(capacity: usize) -> Self {
+    /// one) of `extent_blocks` 4 KiB blocks each, for a stream whose
+    /// requests start at the extent-aligned blocks below
+    /// `extents * extent_blocks`.
+    ///
+    /// # Panics
+    /// Panics if `extent_blocks` or `extents` is zero, or `extents`
+    /// exceeds `u32` keys.
+    pub fn new(capacity: usize, extent_blocks: u32, extents: u64) -> Self {
+        assert!(extent_blocks > 0, "flash extents need a size");
         FlashCacheIndex {
-            cache: SlotCache::new(capacity.max(1), Victims::Clock),
-            wear_extent_bytes: 0,
+            cache: SlotCache::with_dense_keys(capacity.max(1), Victims::Clock, extents),
+            extent_blocks,
+            extents,
             wear: WearStats::default(),
         }
     }
 
-    /// Sets the extent size used for wear accounting.
-    pub fn set_extent_bytes(&mut self, bytes: u64) {
-        self.wear_extent_bytes = bytes;
+    /// The extent size in 4 KiB blocks.
+    pub fn extent_blocks(&self) -> u32 {
+        self.extent_blocks
+    }
+
+    /// The number of extents the index keys.
+    pub fn extents(&self) -> u64 {
+        self.extents
     }
 
     /// The extent size used for wear accounting, in bytes.
     pub fn extent_bytes(&self) -> u64 {
-        self.wear_extent_bytes
+        u64::from(self.extent_blocks) * 4096
     }
 
     /// Maximum number of extents the cache can hold.
@@ -107,13 +125,27 @@ impl FlashCacheIndex {
         self.wear
     }
 
-    /// Touches `extent`; returns true on a hit. On a miss the extent is
-    /// inserted (programming flash), possibly evicting a victim (erasing
-    /// its blocks). `write` marks the extent dirty.
-    pub fn access(&mut self, extent: u64, write: bool) -> bool {
+    /// Touches the extent starting at `block`; returns true on a hit. On
+    /// a miss the extent is inserted (programming flash), possibly
+    /// evicting a victim (erasing its blocks). `write` marks the extent
+    /// dirty.
+    ///
+    /// # Panics
+    /// Panics if `block` is not extent-aligned or its extent lies past
+    /// the index's extent count: either would alias another extent.
+    #[inline]
+    pub fn access(&mut self, block: u64, write: bool) -> bool {
+        let size = u64::from(self.extent_blocks);
+        let (extent, offset) = (block / size, block % size);
+        assert!(
+            offset == 0 && extent < self.extents,
+            "flash block {block} is not one of {} extents of {size} blocks",
+            self.extents
+        );
+        let extent = extent as u32;
         if self.cache.touch(extent, write) {
             if write {
-                self.wear.bytes_programmed += self.wear_extent_bytes;
+                self.wear.bytes_programmed += self.extent_bytes();
             }
             return true;
         }
@@ -126,7 +158,7 @@ impl FlashCacheIndex {
         } else {
             self.cache.insert(extent, write);
         }
-        self.wear.bytes_programmed += self.wear_extent_bytes;
+        self.wear.bytes_programmed += self.extent_bytes();
         false
     }
 }
@@ -137,7 +169,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert() {
-        let mut c = FlashCacheIndex::new(4);
+        let mut c = FlashCacheIndex::new(4, 1, 8);
         assert!(!c.access(1, false));
         assert!(c.access(1, false));
         assert!(c.access(1, true));
@@ -145,7 +177,7 @@ mod tests {
 
     #[test]
     fn capacity_respected_with_eviction() {
-        let mut c = FlashCacheIndex::new(8);
+        let mut c = FlashCacheIndex::new(8, 1, 100);
         for e in 0..100u64 {
             c.access(e, false);
             assert!(c.len() <= 8);
@@ -156,7 +188,7 @@ mod tests {
 
     #[test]
     fn clock_protects_hot_extent() {
-        let mut c = FlashCacheIndex::new(4);
+        let mut c = FlashCacheIndex::new(4, 1, 104);
         for e in 0..4u64 {
             c.access(e, false);
         }
@@ -175,12 +207,43 @@ mod tests {
 
     #[test]
     fn wear_accounts_programs() {
-        let mut c = FlashCacheIndex::new(2);
-        c.set_extent_bytes(4096);
-        c.access(1, false); // program 4096
-        c.access(1, true); // write hit: program 4096
-        c.access(2, true); // program 4096
-        assert_eq!(c.wear().bytes_programmed, 3 * 4096);
+        let mut c = FlashCacheIndex::new(2, 16, 8);
+        assert_eq!(c.extent_bytes(), 16 * 4096);
+        c.access(16, false); // program one extent
+        c.access(16, true); // write hit: program one extent
+        c.access(32, true); // program one extent
+        assert_eq!(c.wear().bytes_programmed, 3 * 16 * 4096);
+    }
+
+    #[test]
+    fn keys_are_extent_numbers() {
+        // Ten 16-block extents start at blocks 0, 16, ..., 144.
+        let mut c = FlashCacheIndex::new(4, 16, 10);
+        let installed = [0u32, 9, 4];
+        for extent in installed {
+            assert!(!c.access(u64::from(extent) * 16, false), "extent {extent}");
+        }
+        for extent in 0..10u32 {
+            assert_eq!(
+                c.cache.contains(extent),
+                installed.contains(&extent),
+                "extent {extent} keyed by its number"
+            );
+        }
+        assert!(c.access(0, false) && c.access(144, true) && c.access(64, false));
+        assert_eq!(c.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of 10 extents of 16 blocks")]
+    fn rejects_unaligned_block() {
+        FlashCacheIndex::new(4, 16, 10).access(17, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of 10 extents of 16 blocks")]
+    fn rejects_extent_past_universe() {
+        FlashCacheIndex::new(4, 16, 10).access(160, false);
     }
 
     #[test]

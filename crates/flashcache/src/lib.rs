@@ -9,9 +9,10 @@
 //!
 //! This crate implements:
 //!
-//! * [`cache`] — the flash cache itself: extent-granularity entries,
-//!   clock eviction, write-back behaviour, and wear (program/erase)
-//!   accounting against the paper's 100k-cycle endurance limit,
+//! * [`cache`] — the flash cache itself: extent-granularity entries
+//!   keyed by extent number, clock eviction, write-back behaviour, and
+//!   wear (program/erase) accounting against the paper's 100k-cycle
+//!   endurance limit,
 //! * [`system`] — the storage system model: disk + optional flash,
 //!   replaying a workload's block trace to an effective per-IO service
 //!   time,

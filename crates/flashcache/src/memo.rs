@@ -116,7 +116,7 @@ impl StorageMemo {
             };
             let stats = if self.is_enabled() {
                 let trace = self.trace(params, seed, n as usize);
-                sys.replay_trace(params.request_blocks, &trace)
+                sys.replay_trace(params, &trace)
             } else {
                 sys.replay(&mut DiskTraceGen::new(params, seed), n)
             };

@@ -1,22 +1,24 @@
 //! The storage system: a disk, optionally fronted by a flash cache.
 //!
-//! The replay loop is chunked: requests are staged into a small scratch
-//! buffer (from the live generator or from a materialized trace slice)
-//! and consumed by one shared epoch-batch kernel, so both paths execute
-//! byte-identical simulation code and differ only in where the chunk
-//! comes from. The kernel itself is a SoA lane pass: a probe loop
-//! records one outcome-code bitmask byte per request, integer counters
-//! fold branch-free via [`wcs_simcore::simd`], service times come from
-//! a per-code table (every request of a trace moves the same number of
-//! blocks, so each code has one service time), and the f64 service sum
-//! accumulates through the fixed-order per-epoch reduction tree of
+//! The replay loop is chunked into epochs of [`simd::F64_BLOCK`]
+//! requests, consumed by one shared epoch-batch kernel: the generator
+//! path stages each epoch into a small scratch buffer, and a
+//! materialized trace is read in place, so both paths execute
+//! byte-identical simulation code and differ only in where the epoch
+//! comes from. The kernel itself is a SoA lane pass: a probe loop over
+//! the flash cache's dense extent index records one outcome-code bitmask
+//! byte per request, integer counters fold branch-free via
+//! [`wcs_simcore::simd`], service times come from a per-code table
+//! (every request of a trace moves the same number of blocks, so each
+//! code has one service time), and the f64 service sum accumulates
+//! through the fixed-order per-epoch reduction tree of
 //! [`simd::block_sums_f64`] — bit-identical for every chunking of the
 //! trace that splits at epoch boundaries.
 
 use wcs_platforms::storage::{DiskModel, FlashModel};
 use wcs_simcore::simd;
 use wcs_simcore::stats::{Histogram, PreparedSample};
-use wcs_workloads::disktrace::{BlockAccess, DiskTraceGen};
+use wcs_workloads::disktrace::{BlockAccess, DiskTraceGen, DiskTraceParams};
 
 use crate::cache::{FlashCacheIndex, WearStats};
 
@@ -88,7 +90,9 @@ impl StorageStats {
 #[derive(Debug)]
 pub struct StorageSystem {
     disk: DiskModel,
-    flash: Option<(FlashModel, FlashCacheIndex)>,
+    /// The flash device and its cache index, which the first replay
+    /// builds over its stream's extents.
+    flash: Option<(FlashModel, Option<FlashCacheIndex>)>,
     flash_failed: bool,
 }
 
@@ -105,10 +109,9 @@ impl StorageSystem {
     /// A disk fronted by a flash cache sized from the flash device's
     /// capacity.
     pub fn with_flash(disk: DiskModel, flash: FlashModel) -> Self {
-        let index = FlashCacheIndex::new(1); // resized on first replay
         StorageSystem {
             disk,
-            flash: Some((flash, index)),
+            flash: Some((flash, None)),
             flash_failed: false,
         }
     }
@@ -129,14 +132,12 @@ impl StorageSystem {
     }
 
     /// Replaces the failed flash device. The replacement arrives cold:
-    /// the cache index is cleared and must re-warm.
+    /// the cache index is rebuilt empty, over the same extents, and must
+    /// re-warm.
     pub fn repair_flash(&mut self) {
         self.flash_failed = false;
-        if let Some((_, index)) = &mut self.flash {
-            let capacity = index.capacity();
-            let extent = index.extent_bytes();
-            *index = FlashCacheIndex::new(capacity.max(1));
-            index.set_extent_bytes(extent);
+        if let Some((_, Some(index))) = &mut self.flash {
+            *index = FlashCacheIndex::new(index.capacity(), index.extent_blocks(), index.extents());
         }
     }
 
@@ -145,15 +146,27 @@ impl StorageSystem {
         self.flash.is_some() && !self.flash_failed
     }
 
-    /// Sizes the flash cache (if present and still cold) for the
-    /// workload's request extent.
-    fn size_flash(&mut self, extent_bytes: u64) {
-        if let Some((flash, index)) = &mut self.flash {
-            let capacity_extents =
-                ((flash.capacity_gb * 1e9) as u64 / extent_bytes).max(1) as usize;
-            if index.is_empty() {
-                *index = FlashCacheIndex::new(capacity_extents);
-                index.set_extent_bytes(extent_bytes);
+    /// Builds the flash cache index (if flash is present and still
+    /// cold) over the stream's extents, holding as many as the device's
+    /// capacity fits. The extent count comes from the stream's
+    /// parameters: it is the range the trace generator draws from.
+    ///
+    /// # Panics
+    /// Panics if a warm cache holds extents of another size or count.
+    fn size_flash(&mut self, params: DiskTraceParams) {
+        let Some((flash, index)) = &mut self.flash else {
+            return;
+        };
+        let (blocks, extents) = (params.request_blocks, params.extents());
+        match index {
+            Some(warm) if !warm.is_empty() => assert!(
+                warm.extent_blocks() == blocks && warm.extents() == extents,
+                "a warm flash cache continues only a stream of its own extents"
+            ),
+            _ => {
+                let extent_bytes = u64::from(blocks) * 4096;
+                let capacity = ((flash.capacity_gb * 1e9) as u64 / extent_bytes).max(1) as usize;
+                *index = Some(FlashCacheIndex::new(capacity, blocks, extents));
             }
         }
     }
@@ -219,6 +232,7 @@ impl StorageSystem {
             // full disk latency, no caching, no wear. Codes stay 0.
             (None, _) | (Some(_), true) => true,
             (Some((_, index)), false) => {
+                let index = index.as_mut().expect("begin_replay builds the index");
                 for (req, code) in chunk.iter().zip(codes.iter_mut()) {
                     let hit = index.access(req.block, req.write);
                     // Write-back: absorbed by flash either way.
@@ -282,16 +296,16 @@ impl StorageSystem {
 
     /// Copies the cache's wear counters into the replay's statistics.
     fn finish_wear(&self, stats: &mut StorageStats) {
-        if let (Some((_, index)), false) = (&self.flash, self.flash_failed) {
+        if let (Some((_, Some(index))), false) = (&self.flash, self.flash_failed) {
             stats.wear = index.wear();
         }
     }
 
     /// Replays `n` requests from the generator, returning service
-    /// statistics. The flash cache (if any) is sized for the generator's
-    /// request extent before the replay.
+    /// statistics. The flash cache (if any) is built for the generator's
+    /// extents before the replay.
     pub fn replay(&mut self, gen: &mut DiskTraceGen, n: u64) -> StorageStats {
-        let mut session = self.begin_replay(gen.params().request_blocks);
+        let mut session = self.begin_replay(*gen.params());
         let mut scratch = [BlockAccess {
             block: 0,
             blocks: 0,
@@ -309,20 +323,24 @@ impl StorageSystem {
         self.finish_replay(session)
     }
 
-    /// Replays a materialized trace whose requests use extents of
-    /// `request_blocks` 4 KiB blocks.
+    /// Replays a materialized trace of the `params` stream.
     ///
     /// Bit-identical to [`replay`](Self::replay) over the same requests:
     /// the buffer stores exactly what the generator would produce, and
     /// both paths feed the same epoch-batch kernel.
-    pub fn replay_trace(&mut self, request_blocks: u32, trace: &[BlockAccess]) -> StorageStats {
-        let mut session = self.begin_replay(request_blocks);
+    ///
+    /// # Panics
+    /// Panics if a request's block is not one of the stream's extents
+    /// (see [`begin_replay`](Self::begin_replay)).
+    pub fn replay_trace(&mut self, params: DiskTraceParams, trace: &[BlockAccess]) -> StorageStats {
+        let mut session = self.begin_replay(params);
         self.replay_chunk(&mut session, trace);
         self.finish_replay(session)
     }
 
-    /// Opens a resumable replay of requests sized `request_blocks`
-    /// blocks, sizing the flash cache (if cold) for that extent.
+    /// Opens a resumable replay of the `params` stream, building the
+    /// flash cache index (if cold) over its extents:
+    /// `params.extents()` extents of `params.request_blocks` blocks.
     ///
     /// Feed trace ranges with [`replay_chunk`](Self::replay_chunk) and
     /// close with [`finish_replay`](Self::finish_replay). Splitting a
@@ -332,10 +350,15 @@ impl StorageSystem {
     /// inside the system, integer counters merge exactly, and the f64
     /// service total is reduced once, at finish, from the per-epoch
     /// block-sum sequence — which aligned splits reproduce exactly.
-    pub fn begin_replay(&mut self, request_blocks: u32) -> ReplaySession {
-        self.size_flash(u64::from(request_blocks) * 4096);
+    ///
+    /// # Panics
+    /// Panics if a warm flash cache holds extents of another size or
+    /// count; with a working flash cache, a request whose block is not
+    /// extent-aligned or lies past the extents panics during the replay.
+    pub fn begin_replay(&mut self, params: DiskTraceParams) -> ReplaySession {
+        self.size_flash(params);
         ReplaySession {
-            table: self.svc_table(request_blocks),
+            table: self.svc_table(params.request_blocks),
             stats: StorageStats::default(),
             svc_sums: Vec::new(),
             mid_epoch: false,
@@ -485,7 +508,7 @@ mod tests {
             };
             let from_gen = build().replay(&mut gen(id, 31), 50_000);
             let trace = wcs_workloads::disktrace::materialize(params, 31, 50_000);
-            let from_trace = build().replay_trace(params.request_blocks, &trace);
+            let from_trace = build().replay_trace(params, &trace);
             assert_eq!(
                 format!("{from_gen:?}"),
                 format!("{from_trace:?}"),
@@ -500,11 +523,11 @@ mod tests {
         let n = 50_000;
         let trace = wcs_workloads::disktrace::materialize(params, 17, n);
         let mut whole = StorageSystem::with_flash(DiskModel::laptop_remote(), FlashModel::table3());
-        let want = whole.replay_trace(params.request_blocks, &trace);
+        let want = whole.replay_trace(params, &trace);
         for chunks in [1usize, 2, 7, 64] {
             let mut sys =
                 StorageSystem::with_flash(DiskModel::laptop_remote(), FlashModel::table3());
-            let mut session = sys.begin_replay(params.request_blocks);
+            let mut session = sys.begin_replay(params);
             // Split only at epoch-aligned boundaries.
             let epochs = n.div_ceil(REPLAY_CHUNK_ALIGN);
             let per = epochs.div_ceil(chunks) * REPLAY_CHUNK_ALIGN;
@@ -540,8 +563,14 @@ mod tests {
                 write: i % 5 == 0,
             })
             .collect();
+        let params = DiskTraceParams {
+            dataset_blocks: 4096,
+            zipf_s: 0.0,
+            write_fraction: 0.2,
+            request_blocks: 64,
+        };
         let mut sys = StorageSystem::disk_only(disk.clone());
-        let got = sys.replay_trace(64, &trace);
+        let got = sys.replay_trace(params, &trace);
         assert_eq!(got.requests, 9000);
         let want: f64 = trace
             .iter()
@@ -560,7 +589,7 @@ mod tests {
         let params = params_for(WorkloadId::Webmail);
         let trace = wcs_workloads::disktrace::materialize(params, 3, 5000);
         let mut sys = StorageSystem::disk_only(DiskModel::desktop());
-        let mut session = sys.begin_replay(params.request_blocks);
+        let mut session = sys.begin_replay(params);
         sys.replay_chunk(&mut session, &trace[..100]); // off-boundary
         sys.replay_chunk(&mut session, &trace[100..]);
     }

@@ -8,11 +8,17 @@
 //! entry, clock reference bits, recency links, clock hand) lives in the
 //! shared [`wcs_simcore::slotcache::SlotCache`] kernel — the same
 //! machinery the flash cache index uses — so this module only holds the
-//! *policy*: which victim mechanism each [`PolicyKind`] keeps state for
-//! and invokes on a full-store miss.
+//! *policy*: which victim mechanism each [`PolicyKind`] keeps state for,
+//! which hit path it takes, and which victim it evicts on a full-store
+//! miss. The key index follows from the policy and the universe: a store
+//! over a known footprint keeps two bits per page under random
+//! replacement, whose hits and victims need no slot, and a `u32` entry
+//! per page under LRU and clock.
 
 use wcs_simcore::memo::{MemoHash, MemoKey};
-use wcs_simcore::slotcache::{DenseKeys, KeyIndex, OpenKeys, SlotCache, Victims};
+use wcs_simcore::slotcache::{
+    DenseKeys, FlagKeys, KeyIndex, OpenKeys, SlotCache, SlotIndex, Victims,
+};
 use wcs_simcore::SimRng;
 
 use crate::twolevel::MissStats;
@@ -73,6 +79,8 @@ pub enum Touch {
 enum Slots {
     Open(SlotCache<OpenKeys>),
     Dense(SlotCache<DenseKeys>),
+    /// Random replacement over a known universe only.
+    Flags(SlotCache<FlagKeys>),
 }
 
 /// Binds `$c` to the slot cache inside `$slots` and evaluates `$body`,
@@ -82,8 +90,48 @@ macro_rules! with_slots {
         match $slots {
             Slots::Open($c) => $body,
             Slots::Dense($c) => $body,
+            Slots::Flags($c) => $body,
         }
     };
+}
+
+/// Binds `$c` to the store's slot cache and `$p` to its policy's
+/// [`Replace`] and evaluates `$body`, once per index kind and policy, so
+/// generic code runs monomorphic over each pair.
+macro_rules! with_policy {
+    ($store:expr, $c:ident, $p:ident => $body:expr) => {{
+        let rng = &mut $store.rng;
+        match (&mut $store.slots, $store.kind) {
+            (Slots::Flags($c), _) => {
+                let mut $p = Random(rng);
+                $body
+            }
+            (Slots::Open($c), PolicyKind::Random) => {
+                let mut $p = Random(rng);
+                $body
+            }
+            (Slots::Open($c), PolicyKind::Lru) => {
+                let mut $p = Lru;
+                $body
+            }
+            (Slots::Open($c), PolicyKind::Clock) => {
+                let mut $p = Clock;
+                $body
+            }
+            (Slots::Dense($c), PolicyKind::Random) => {
+                let mut $p = Random(rng);
+                $body
+            }
+            (Slots::Dense($c), PolicyKind::Lru) => {
+                let mut $p = Lru;
+                $body
+            }
+            (Slots::Dense($c), PolicyKind::Clock) => {
+                let mut $p = Clock;
+                $body
+            }
+        }
+    }};
 }
 
 /// A fixed-capacity local page store with a pluggable replacement policy.
@@ -119,22 +167,27 @@ impl PageStore {
     }
 
     /// Creates a store whose page numbers are known to lie in
-    /// `[0, universe)`, backing the key map with a dense direct-index
-    /// table instead of a hash map. Behaviour is identical to
-    /// [`new`](Self::new) — slot order, victim choice, and dirty
-    /// tracking are all unchanged — only lookups get cheaper.
+    /// `[0, universe)`, indexing pages directly instead of hashing them:
+    /// two bits per page (resident, dirty) under random replacement, a
+    /// `slot << 1 | dirty` entry per page under LRU and clock. Behaviour
+    /// is identical to [`new`](Self::new) — slot order, victim choice,
+    /// and dirty tracking are all unchanged — only lookups get cheaper.
     ///
     /// # Panics
     /// Panics if `capacity` or `universe` is zero, or `universe` exceeds
-    /// `u32` page numbers.
+    /// `u32` page numbers; touching a page at or above `universe` panics.
     pub fn with_universe(capacity: usize, kind: PolicyKind, seed: u64, universe: u64) -> Self {
-        PageStore {
-            kind,
-            slots: Slots::Dense(SlotCache::with_dense_keys(
+        let slots = match kind {
+            PolicyKind::Random => Slots::Flags(SlotCache::with_flag_keys(capacity, universe)),
+            PolicyKind::Lru | PolicyKind::Clock => Slots::Dense(SlotCache::with_dense_keys(
                 capacity,
                 kind.victims(),
                 universe,
             )),
+        };
+        PageStore {
+            kind,
+            slots,
             rng: SimRng::seed_from(seed),
         }
     }
@@ -162,10 +215,7 @@ impl PageStore {
     /// Touches `page`, marking it dirty when `write` is set. Returns
     /// whether it hit, and on a full-store miss which victim was evicted.
     pub fn touch(&mut self, page: u64, write: bool) -> Touch {
-        let (kind, rng) = (self.kind, &mut self.rng);
-        with_slots!(&mut self.slots, c => {
-            touch_step(c, key_of(c, page), write, &mut |c| victim(kind, c, rng))
-        })
+        with_policy!(self, c, p => touch_step(c, key_of(c, page), write, &mut p))
     }
 
     /// The replay kernel: touches every `(page, write)` access in order
@@ -178,14 +228,7 @@ impl PageStore {
     /// monomorphic loop per index kind and [`PolicyKind`]), but slot
     /// operations and RNG draws happen in exactly the same order.
     pub fn touch_pass(&mut self, accesses: impl IntoIterator<Item = (u32, bool)>) -> MissStats {
-        let rng = &mut self.rng;
-        with_slots!(&mut self.slots, c => match self.kind {
-            PolicyKind::Lru => touch_loop(c, accesses, |c| victim(PolicyKind::Lru, c, rng)),
-            PolicyKind::Random => {
-                touch_loop(c, accesses, |c| victim(PolicyKind::Random, c, rng))
-            }
-            PolicyKind::Clock => touch_loop(c, accesses, |c| victim(PolicyKind::Clock, c, rng)),
-        })
+        with_policy!(self, c, p => touch_loop(c, accesses, &mut p))
     }
 }
 
@@ -197,32 +240,78 @@ fn contains<I: KeyIndex>(cache: &SlotCache<I>, page: u64) -> bool {
     cache.contains(I::key(page))
 }
 
-/// The victim `kind` evicts from a full store.
-#[inline]
-fn victim<I: KeyIndex>(kind: PolicyKind, cache: &mut SlotCache<I>, rng: &mut SimRng) -> u32 {
-    match kind {
-        PolicyKind::Lru => cache.lru_victim(),
-        PolicyKind::Random => rng.index(cache.len()) as u32,
-        PolicyKind::Clock => cache.clock_victim(),
+/// A policy's two per-access decisions over a slot cache: the hit path
+/// and, on a full-store miss, the victim.
+trait Replace<I: KeyIndex> {
+    /// If `key` is resident, records the hit and returns true.
+    fn hit(&mut self, cache: &mut SlotCache<I>, key: I::Key, write: bool) -> bool;
+
+    /// The slot a full-store miss evicts.
+    fn victim(&mut self, cache: &mut SlotCache<I>) -> u32;
+}
+
+/// Random replacement: a hit changes no per-slot state, and the victim
+/// is a slot drawn from the store's RNG. Serves every index kind.
+struct Random<'a>(&'a mut SimRng);
+
+/// Least-recently-used replacement; needs a slot index.
+struct Lru;
+
+/// Clock (second-chance) replacement; needs a slot index.
+struct Clock;
+
+impl<I: KeyIndex> Replace<I> for Random<'_> {
+    #[inline(always)]
+    fn hit(&mut self, cache: &mut SlotCache<I>, key: I::Key, write: bool) -> bool {
+        cache.mark(key, write)
+    }
+
+    #[inline(always)]
+    fn victim(&mut self, cache: &mut SlotCache<I>) -> u32 {
+        self.0.index(cache.len()) as u32
+    }
+}
+
+impl<I: SlotIndex> Replace<I> for Lru {
+    #[inline(always)]
+    fn hit(&mut self, cache: &mut SlotCache<I>, key: I::Key, write: bool) -> bool {
+        cache.touch(key, write)
+    }
+
+    #[inline(always)]
+    fn victim(&mut self, cache: &mut SlotCache<I>) -> u32 {
+        cache.lru_victim()
+    }
+}
+
+impl<I: SlotIndex> Replace<I> for Clock {
+    #[inline(always)]
+    fn hit(&mut self, cache: &mut SlotCache<I>, key: I::Key, write: bool) -> bool {
+        cache.touch(key, write)
+    }
+
+    #[inline(always)]
+    fn victim(&mut self, cache: &mut SlotCache<I>) -> u32 {
+        cache.clock_victim()
     }
 }
 
 /// One access: a hit, a fill while the store has free slots, or a swap
-/// with the victim `victim` picks.
+/// with the victim the policy picks.
 #[inline(always)]
 fn touch_step<I: KeyIndex>(
     cache: &mut SlotCache<I>,
     key: I::Key,
     write: bool,
-    victim: &mut impl FnMut(&mut SlotCache<I>) -> u32,
+    policy: &mut impl Replace<I>,
 ) -> Touch {
-    if cache.touch(key, write) {
+    if policy.hit(cache, key, write) {
         Touch::Hit
     } else if !cache.is_full() {
         cache.insert(key, write);
         Touch::Miss { evicted: None }
     } else {
-        let slot = victim(cache);
+        let slot = policy.victim(cache);
         let (old, dirty) = cache.replace(slot, key, write);
         Touch::Miss {
             evicted: Some((old.into(), dirty)),
@@ -231,19 +320,19 @@ fn touch_step<I: KeyIndex>(
 }
 
 /// The inner loop of [`PageStore::touch_pass`], monomorphized per index
-/// kind and victim selector so neither is matched per access.
+/// kind and policy so neither is matched per access.
 #[inline(always)]
 fn touch_loop<I: KeyIndex>(
     cache: &mut SlotCache<I>,
     accesses: impl IntoIterator<Item = (u32, bool)>,
-    mut victim: impl FnMut(&mut SlotCache<I>) -> u32,
+    policy: &mut impl Replace<I>,
 ) -> MissStats {
     let mut stats = MissStats::default();
     for (page, write) in accesses {
         stats.accesses += 1;
         if let Touch::Miss {
             evicted: Some((_, dirty)),
-        } = touch_step(cache, I::Key::from(page), write, &mut victim)
+        } = touch_step(cache, I::Key::from(page), write, policy)
         {
             stats.misses += 1;
             stats.writebacks += u64::from(dirty);
@@ -388,6 +477,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn random_flag_store_touches_like_the_open_store() {
+        // Under random replacement `with_universe` keeps two flag bits
+        // per page and no slot. The scalar touch must still report every
+        // evicted page and its dirty bit as the open store does, and the
+        // two must agree on residency after every access.
+        const UNIVERSE: u64 = 500;
+        let mut open = PageStore::new(96, PolicyKind::Random, 17);
+        let mut flags = PageStore::with_universe(96, PolicyKind::Random, 17, UNIVERSE);
+        let mut rng = SimRng::seed_from(0x5EED);
+        let mut evictions = [0u64; 2];
+        for i in 0..24_000 {
+            let page = rng.index(UNIVERSE as usize) as u64;
+            let write = rng.chance(0.3);
+            let want = open.touch(page, write);
+            assert_eq!(flags.touch(page, write), want, "access {i}");
+            if let Touch::Miss {
+                evicted: Some((_, dirty)),
+            } = want
+            {
+                evictions[usize::from(dirty)] += 1;
+            }
+            assert_eq!(flags.len(), open.len(), "access {i}");
+            for p in 0..UNIVERSE {
+                assert_eq!(flags.contains(p), open.contains(p), "access {i}: page {p}");
+            }
+        }
+        assert!(
+            evictions.iter().all(|&n| n > 1_000),
+            "clean and dirty evictions both exercised: {evictions:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past its universe")]
+    fn random_flag_store_rejects_pages_past_its_universe() {
+        let mut s = PageStore::with_universe(4, PolicyKind::Random, 1, 40);
+        s.touch(40, false);
     }
 
     #[test]

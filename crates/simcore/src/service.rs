@@ -315,7 +315,9 @@ impl ServiceProgress {
 /// Minimal HTTP liveness endpoint: `GET /status` returns the progress
 /// block as JSON, `GET /metrics` the registry snapshot in Prometheus
 /// text exposition; anything else is 404. One thread, sequential
-/// accepts — a liveness probe, not a web server.
+/// accepts — a liveness probe, not a web server. A connection that
+/// sends no request is closed unanswered, but the loop serves one
+/// connection at a time, so a silent client holds it for up to 2 s.
 #[derive(Debug)]
 pub struct StatusServer {
     addr: std::net::SocketAddr,
@@ -387,16 +389,26 @@ impl Drop for StatusServer {
     }
 }
 
-/// Answer one HTTP request on `stream`.
+/// How long [`StatusServer`] waits for a connection's request to
+/// arrive before closing it unanswered.
+const REQUEST_WAIT: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// Answer one HTTP request on `stream`. Only a request that arrived is
+/// answered: on EOF, or when nothing arrives within [`REQUEST_WAIT`],
+/// the connection closes without a response, so a slow client never
+/// writes into a socket that already answered and closed.
 fn serve_one(
     mut stream: TcpStream,
     progress: &ServiceProgress,
     registry: &Registry,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(std::time::Duration::from_millis(250)))?;
+    stream.set_read_timeout(Some(REQUEST_WAIT))?;
     stream.set_nonblocking(false)?;
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf).unwrap_or(0);
+    let n = stream.read(&mut buf)?;
+    if n == 0 {
+        return Ok(());
+    }
     let request = String::from_utf8_lossy(&buf[..n]);
     let path = request
         .lines()
@@ -581,6 +593,33 @@ mod tests {
         );
         let missing = get("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn status_server_closes_a_connection_that_sends_no_request() {
+        let progress = ServiceProgress::new();
+        progress.cells_done.store(2, Ordering::Relaxed);
+        let server = StatusServer::start(0, Arc::clone(&progress), Registry::new())
+            .expect("bind ephemeral port");
+        let mut silent = TcpStream::connect(server.addr()).expect("connect");
+        silent
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shut down the write half");
+        let mut answer = Vec::new();
+        silent.read_to_end(&mut answer).expect("read");
+        assert!(
+            answer.is_empty(),
+            "answered a request that never arrived: {}",
+            String::from_utf8_lossy(&answer)
+        );
+        // The loop moved on: the next request is served.
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        write!(s, "GET /status HTTP/1.1\r\nHost: x\r\n\r\n").expect("send");
+        let mut status = String::new();
+        s.read_to_string(&mut status).expect("read");
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(status.contains("\"cells_done\": 2"), "{status}");
         server.shutdown();
     }
 }

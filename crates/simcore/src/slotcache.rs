@@ -7,16 +7,26 @@
 //! doubly-linked recency list. [`SlotCache`] is that machinery once, laid
 //! out so a hit touches as little memory as possible:
 //!
-//! * the key index stores `slot << 1 | dirty` per resident key, so a hit
-//!   reads (and, on a write, sets the dirty bit in) one index entry;
+//! * the key index holds each resident key's dirty bit, so a hit reads
+//!   (and, on a write, sets the dirty bit in) one index entry;
 //! * the slot columns hold the resident key plus only what the victim
 //!   mechanism in use reads: a reference bit per slot for clock, the
 //!   recency links for LRU, nothing for a caller-chosen (random) victim.
 //!
-//! The index is a type parameter ([`OpenKeys`] for arbitrary `u64` keys,
-//! [`DenseKeys`] for a known finite universe), so a replay loop over
-//! either kind compiles to its own monomorphic code with every per-access
-//! method inlined.
+//! The index is a type parameter, so a replay loop over each kind
+//! compiles to its own monomorphic code with every per-access method
+//! inlined. There are three kinds:
+//!
+//! * [`OpenKeys`], a hash map over arbitrary `u64` keys, and
+//!   [`DenseKeys`], a direct-indexed array over a known key universe,
+//!   store `slot << 1 | dirty` per resident key. They implement
+//!   [`SlotIndex`], so they serve every victim mechanism and answer
+//!   [`lookup`](SlotCache::lookup).
+//! * [`FlagKeys`] keeps two bits per key of a known universe (resident,
+//!   dirty) and no slot. A caller-chosen victim needs no more: a
+//!   random-replacement hit changes no per-slot state, and the victim's
+//!   key is read from the slot column. So a flag cache is built for
+//!   caller-chosen victims only and answers no lookup.
 //!
 //! Policy stays with the caller: the kernel exposes victim *mechanisms*
 //! ([`clock_victim`](SlotCache::clock_victim),
@@ -54,11 +64,9 @@ pub enum Victims {
     Lru,
 }
 
-/// The `key -> (slot, dirty)` index of a [`SlotCache`].
-///
-/// Entries are `slot << 1 | dirty`. Implemented by [`OpenKeys`] and
-/// [`DenseKeys`]; a [`SlotCache`] is generic over it so each index kind
-/// gets its own inlined replay loop.
+/// The per-key state every [`SlotCache`] index keeps: whether a key is
+/// resident and whether it is dirty. That is all that insert, replace
+/// and a caller-chosen-victim hit read or write.
 pub trait KeyIndex {
     /// The key type the slot column stores.
     type Key: Copy + From<u32> + Into<u64>;
@@ -69,18 +77,31 @@ pub trait KeyIndex {
     /// Panics if the key does not fit [`Self::Key`].
     fn key(raw: u64) -> Self::Key;
 
+    /// True if `key` is resident.
+    fn contains(&self, key: Self::Key) -> bool;
+
+    /// If `key` is resident, ORs `write` into its dirty bit and returns
+    /// true.
+    fn mark(&mut self, key: Self::Key, write: bool) -> bool;
+
+    /// Records a key that is not resident as resident in `slot`, dirty
+    /// iff `write`.
+    fn set(&mut self, key: Self::Key, slot: u32, write: bool);
+
+    /// Removes a resident key, returning its dirty bit.
+    fn take(&mut self, key: Self::Key) -> bool;
+}
+
+/// A [`KeyIndex`] whose entries also hold the key's slot, as
+/// `slot << 1 | dirty`: what [`SlotCache::lookup`] answers and what the
+/// clock and LRU mechanisms update on a hit.
+pub trait SlotIndex: KeyIndex {
     /// The entry for `key`, if resident.
-    fn get(&self, key: Self::Key) -> Option<u32>;
+    fn entry(&self, key: Self::Key) -> Option<u32>;
 
     /// The hit path: if `key` is resident, ORs `write` into its dirty bit
     /// and returns its slot.
     fn hit(&mut self, key: Self::Key, write: bool) -> Option<u32>;
-
-    /// Stores `entry` for a key that is not resident.
-    fn set(&mut self, key: Self::Key, entry: u32);
-
-    /// Removes a resident key, returning its entry.
-    fn take(&mut self, key: Self::Key) -> u32;
 }
 
 /// An open-addressed hash index over arbitrary `u64` keys.
@@ -96,7 +117,29 @@ impl KeyIndex for OpenKeys {
     }
 
     #[inline]
-    fn get(&self, key: u64) -> Option<u32> {
+    fn contains(&self, key: u64) -> bool {
+        self.0.get(&key).is_some()
+    }
+
+    #[inline]
+    fn mark(&mut self, key: u64, write: bool) -> bool {
+        self.hit(key, write).is_some()
+    }
+
+    #[inline]
+    fn set(&mut self, key: u64, slot: u32, write: bool) {
+        self.0.insert(key, slot << 1 | u32::from(write));
+    }
+
+    #[inline]
+    fn take(&mut self, key: u64) -> bool {
+        self.0.remove(&key).expect("resident key") & 1 == 1
+    }
+}
+
+impl SlotIndex for OpenKeys {
+    #[inline]
+    fn entry(&self, key: u64) -> Option<u32> {
         self.0.get(&key).copied()
     }
 
@@ -106,21 +149,27 @@ impl KeyIndex for OpenKeys {
         *entry |= u32::from(write);
         Some(*entry >> 1)
     }
+}
 
-    #[inline]
-    fn set(&mut self, key: u64, entry: u32) {
-        self.0.insert(key, entry);
-    }
+/// Converts a key of a dense (`u32`-keyed) index.
+#[inline]
+fn dense_key(raw: u64) -> u32 {
+    u32::try_from(raw).expect("dense slot-cache keys fit u32")
+}
 
-    #[inline]
-    fn take(&mut self, key: u64) -> u32 {
-        self.0.remove(&key).expect("resident key")
-    }
+/// Checks the key universe of a dense or flag index.
+fn check_universe(universe: u64) {
+    assert!(universe > 0, "dense slot cache needs a key universe");
+    assert!(
+        universe <= 1 << 32,
+        "dense slot cache universe must fit u32 keys"
+    );
 }
 
 /// A direct-indexed index over keys known to lie in `0..universe` (page
-/// numbers below a footprint): one predictable array access per lookup,
-/// no hashing, no probe chain, and `u32` keys in the slot column.
+/// numbers below a footprint, extent numbers below a dataset): one
+/// predictable array access per lookup, no hashing, no probe chain, and
+/// `u32` keys in the slot column.
 #[derive(Debug, Clone)]
 pub struct DenseKeys(Vec<u32>);
 
@@ -129,11 +178,33 @@ impl KeyIndex for DenseKeys {
 
     #[inline]
     fn key(raw: u64) -> u32 {
-        u32::try_from(raw).expect("dense slot-cache keys fit u32")
+        dense_key(raw)
     }
 
     #[inline]
-    fn get(&self, key: u32) -> Option<u32> {
+    fn contains(&self, key: u32) -> bool {
+        self.0[key as usize] != NIL
+    }
+
+    #[inline]
+    fn mark(&mut self, key: u32, write: bool) -> bool {
+        self.hit(key, write).is_some()
+    }
+
+    #[inline]
+    fn set(&mut self, key: u32, slot: u32, write: bool) {
+        self.0[key as usize] = slot << 1 | u32::from(write);
+    }
+
+    #[inline]
+    fn take(&mut self, key: u32) -> bool {
+        std::mem::replace(&mut self.0[key as usize], NIL) & 1 == 1
+    }
+}
+
+impl SlotIndex for DenseKeys {
+    #[inline]
+    fn entry(&self, key: u32) -> Option<u32> {
         let entry = self.0[key as usize];
         (entry != NIL).then_some(entry)
     }
@@ -147,15 +218,78 @@ impl KeyIndex for DenseKeys {
         *entry |= u32::from(write);
         Some(*entry >> 1)
     }
+}
+
+/// Two bits per key over keys known to lie in `0..universe`: bit 0 of
+/// each pair says the key is resident, bit 1 that it is dirty, 32 keys
+/// per `u64` word. No slot is stored, so the index serves only
+/// caller-chosen victims. For a 480k-page footprint it is 120 KB, where
+/// [`DenseKeys`] takes 1.9 MB.
+#[derive(Debug, Clone)]
+pub struct FlagKeys {
+    words: Vec<u64>,
+    universe: u64,
+}
+
+/// A [`FlagKeys`] pair's resident bit.
+const RESIDENT: u64 = 1;
+/// A [`FlagKeys`] pair's dirty bit.
+const DIRTY: u64 = 2;
+
+impl FlagKeys {
+    /// The word holding `key`'s pair, and the pair's shift within it.
+    #[inline(always)]
+    fn pair(key: u32) -> (usize, u32) {
+        ((key >> 5) as usize, (key & 31) << 1)
+    }
+}
+
+impl KeyIndex for FlagKeys {
+    type Key = u32;
 
     #[inline]
-    fn set(&mut self, key: u32, entry: u32) {
-        self.0[key as usize] = entry;
+    fn key(raw: u64) -> u32 {
+        dense_key(raw)
     }
 
     #[inline]
-    fn take(&mut self, key: u32) -> u32 {
-        std::mem::replace(&mut self.0[key as usize], NIL)
+    fn contains(&self, key: u32) -> bool {
+        let (w, s) = Self::pair(key);
+        self.words[w] >> s & RESIDENT != 0
+    }
+
+    #[inline]
+    fn mark(&mut self, key: u32, write: bool) -> bool {
+        let (w, s) = Self::pair(key);
+        let word = &mut self.words[w];
+        if *word >> s & RESIDENT == 0 {
+            return false;
+        }
+        *word |= u64::from(write) << s << 1;
+        true
+    }
+
+    /// # Panics
+    /// Panics if `key` lies past the universe (the last word's spare
+    /// pairs would otherwise take it).
+    #[inline]
+    fn set(&mut self, key: u32, _slot: u32, write: bool) {
+        assert!(
+            u64::from(key) < self.universe,
+            "flag slot-cache key {key} past its universe {}",
+            self.universe
+        );
+        let (w, s) = Self::pair(key);
+        self.words[w] |= (RESIDENT | u64::from(write) << 1) << s;
+    }
+
+    #[inline]
+    fn take(&mut self, key: u32) -> bool {
+        let (w, s) = Self::pair(key);
+        let word = &mut self.words[w];
+        let dirty = *word >> s & DIRTY != 0;
+        *word &= !((RESIDENT | DIRTY) << s);
+        dirty
     }
 }
 
@@ -208,12 +342,42 @@ impl SlotCache<DenseKeys> {
     /// beyond `u32` keys; keys at or above `universe` panic at first use
     /// (index out of bounds).
     pub fn with_dense_keys(capacity: usize, victims: Victims, universe: u64) -> Self {
-        assert!(universe > 0, "dense slot cache needs a key universe");
-        assert!(
-            universe <= 1 << 32,
-            "dense slot cache universe must fit u32 keys"
-        );
+        check_universe(universe);
         SlotCache::with_index(capacity, victims, DenseKeys(vec![NIL; universe as usize]))
+    }
+}
+
+impl SlotCache<FlagKeys> {
+    /// Creates an empty cache for caller-chosen victims (random
+    /// replacement) whose keys are known to lie in `0..universe`, indexed
+    /// by two bits per key. Hits go through [`mark`](Self::mark); the
+    /// cache keeps no clock or LRU state and answers no slot lookup.
+    /// Hits, misses, slot order and the victims' keys and dirty bits are
+    /// those of a [`Victims::Chosen`] cache over either other index.
+    ///
+    /// # Panics
+    /// Panics on a zero/oversized capacity, or a zero universe or one
+    /// beyond `u32` keys; installing a key at or above `universe` panics.
+    ///
+    /// # Example
+    /// ```
+    /// use wcs_simcore::slotcache::SlotCache;
+    /// let mut c = SlotCache::with_flag_keys(2, 8);
+    /// assert!(!c.mark(3, false)); // miss: the caller installs the key
+    /// c.insert(3, false);
+    /// assert!(c.mark(3, true)); // hit, now dirty
+    /// assert_eq!(c.replace(0, 5, false), (3, true)); // the caller chose slot 0
+    /// ```
+    /// It answers no slot lookup:
+    /// ```compile_fail
+    /// use wcs_simcore::slotcache::SlotCache;
+    /// let c = SlotCache::with_flag_keys(2, 8);
+    /// let _ = c.lookup(3);
+    /// ```
+    pub fn with_flag_keys(capacity: usize, universe: u64) -> Self {
+        check_universe(universe);
+        let words = vec![0; universe.div_ceil(32) as usize];
+        SlotCache::with_index(capacity, Victims::Chosen, FlagKeys { words, universe })
     }
 }
 
@@ -269,12 +433,7 @@ impl<I: KeyIndex> SlotCache<I> {
 
     /// True if `key` is resident (no policy state update).
     pub fn contains(&self, key: I::Key) -> bool {
-        self.index.get(key).is_some()
-    }
-
-    /// The slot holding `key`, if resident (no policy state update).
-    pub fn lookup(&self, key: I::Key) -> Option<u32> {
-        self.index.get(key).map(|entry| entry >> 1)
+        self.index.contains(key)
     }
 
     /// The key resident in `slot`.
@@ -282,25 +441,21 @@ impl<I: KeyIndex> SlotCache<I> {
         self.keys[slot as usize]
     }
 
-    /// Touches `key`: on a hit, ORs `write` into its dirty bit, updates
-    /// the victim mechanism's state (reference bit, recency order) and
-    /// returns true. On a miss nothing changes and the caller installs
-    /// the key with [`insert`](Self::insert) or
-    /// [`replace`](Self::replace).
+    /// The hit path of a cache whose caller chooses victims: if `key` is
+    /// resident, ORs `write` into its dirty bit and returns true. There
+    /// is no per-slot state to update, so this touches only the key's
+    /// index entry. On a miss nothing changes.
+    ///
+    /// # Panics
+    /// Panics if the cache keeps clock or LRU state, whose hits go
+    /// through [`touch`](Self::touch).
     #[inline(always)]
-    pub fn touch(&mut self, key: I::Key, write: bool) -> bool {
-        let Some(slot) = self.index.hit(key, write) else {
-            return false;
-        };
-        match self.victims {
-            Victims::Chosen => {}
-            Victims::Clock => self.refbit[slot as usize] = true,
-            Victims::Lru => {
-                self.unlink(slot);
-                self.push_front(slot);
-            }
-        }
-        true
+    pub fn mark(&mut self, key: I::Key, write: bool) -> bool {
+        assert!(
+            self.victims == Victims::Chosen,
+            "mark needs a caller-chosen-victim slot cache"
+        );
+        self.index.mark(key, write)
     }
 
     /// Installs `key` into a fresh slot while the cache is filling;
@@ -315,7 +470,7 @@ impl<I: KeyIndex> SlotCache<I> {
         assert!(!self.is_full(), "insert on a full slot cache");
         let slot = self.keys.len() as u32;
         self.keys.push(key);
-        self.index.set(key, slot << 1 | u32::from(write));
+        self.index.set(key, slot, write);
         match self.victims {
             Victims::Chosen => {}
             Victims::Clock => self.refbit.push(true),
@@ -335,9 +490,9 @@ impl<I: KeyIndex> SlotCache<I> {
     pub fn replace(&mut self, slot: u32, key: I::Key, write: bool) -> (I::Key, bool) {
         let s = slot as usize;
         let old_key = self.keys[s];
-        let old_dirty = self.index.take(old_key) & 1 == 1;
+        let old_dirty = self.index.take(old_key);
         self.keys[s] = key;
-        self.index.set(key, slot << 1 | u32::from(write));
+        self.index.set(key, slot, write);
         match self.victims {
             Victims::Chosen => {}
             Victims::Clock => self.refbit[s] = true,
@@ -417,6 +572,34 @@ impl<I: KeyIndex> SlotCache<I> {
         if self.tail == NIL {
             self.tail = slot;
         }
+    }
+}
+
+impl<I: SlotIndex> SlotCache<I> {
+    /// The slot holding `key`, if resident (no policy state update).
+    pub fn lookup(&self, key: I::Key) -> Option<u32> {
+        self.index.entry(key).map(|entry| entry >> 1)
+    }
+
+    /// Touches `key`: on a hit, ORs `write` into its dirty bit, updates
+    /// the victim mechanism's state (reference bit, recency order) and
+    /// returns true. On a miss nothing changes and the caller installs
+    /// the key with [`insert`](Self::insert) or
+    /// [`replace`](Self::replace).
+    #[inline(always)]
+    pub fn touch(&mut self, key: I::Key, write: bool) -> bool {
+        let Some(slot) = self.index.hit(key, write) else {
+            return false;
+        };
+        match self.victims {
+            Victims::Chosen => {}
+            Victims::Clock => self.refbit[slot as usize] = true,
+            Victims::Lru => {
+                self.unlink(slot);
+                self.push_front(slot);
+            }
+        }
+        true
     }
 }
 
@@ -535,6 +718,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn flag_index_behaves_like_dense_index_under_chosen_victims() {
+        // A seeded stream with writes, through a dense and a flag cache
+        // with the same caller-chosen victims: every hit, evicted key,
+        // evicted dirty bit and residency must agree. The universe is
+        // not a multiple of 32, so the last flag word is partly spare.
+        const UNIVERSE: u64 = 300;
+        let mut dense = SlotCache::with_dense_keys(40, Victims::Chosen, UNIVERSE);
+        let mut flags = SlotCache::with_flag_keys(40, UNIVERSE);
+        let mut rng = crate::SimRng::seed_from(0xF1A6);
+        let mut evictions = [0u64; 2];
+        for i in 0..20_000 {
+            let key = rng.index(UNIVERSE as usize) as u32;
+            let write = rng.chance(0.3);
+            let hit = dense.mark(key, write);
+            assert_eq!(hit, flags.mark(key, write), "access {i}: hit {key}");
+            if hit {
+                // Nothing to install.
+            } else if !dense.is_full() {
+                assert_eq!(dense.insert(key, write), flags.insert(key, write));
+            } else {
+                let slot = rng.index(dense.len()) as u32;
+                let (old, dirty) = dense.replace(slot, key, write);
+                assert_eq!(
+                    (old, dirty),
+                    flags.replace(slot, key, write),
+                    "access {i}: eviction"
+                );
+                evictions[usize::from(dirty)] += 1;
+            }
+            assert_eq!(dense.len(), flags.len());
+            for k in 0..UNIVERSE as u32 {
+                assert_eq!(dense.contains(k), flags.contains(k), "access {i}: key {k}");
+            }
+        }
+        assert!(
+            evictions.iter().all(|&n| n > 1_000),
+            "clean and dirty evictions both exercised: {evictions:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past its universe")]
+    fn flag_rejects_keys_past_universe() {
+        // 100 lies in the spare pairs of the universe's last word.
+        let mut c = SlotCache::with_flag_keys(4, 100);
+        c.insert(99, false);
+        c.insert(100, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "clock slot cache")]
+    fn flag_cache_has_no_clock_victim() {
+        let mut c = SlotCache::with_flag_keys(2, 8);
+        c.insert(1, false);
+        c.clock_victim();
+    }
+
+    #[test]
+    #[should_panic(expected = "lru slot cache")]
+    fn flag_cache_has_no_lru_victim() {
+        let mut c = SlotCache::with_flag_keys(2, 8);
+        c.insert(1, false);
+        c.lru_victim();
+    }
+
+    #[test]
+    #[should_panic(expected = "caller-chosen")]
+    fn mark_rejects_clock_and_lru_caches() {
+        let mut c = SlotCache::with_dense_keys(2, Victims::Clock, 8);
+        c.insert(1, false);
+        c.mark(1, true);
     }
 
     #[test]

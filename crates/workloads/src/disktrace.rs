@@ -58,6 +58,13 @@ impl DiskTraceParams {
         assert!((0.0..=1.0).contains(&self.write_fraction));
         assert!(self.request_blocks > 0, "request size must be positive");
     }
+
+    /// The number of request-sized extents the stream draws from:
+    /// requests start at blocks `extent * request_blocks` for `extent`
+    /// below this count (at least one).
+    pub fn extents(&self) -> u64 {
+        (self.dataset_blocks / u64::from(self.request_blocks)).max(1)
+    }
 }
 
 impl MemoHash for DiskTraceParams {
@@ -133,7 +140,7 @@ impl DiskTraceGen {
     pub fn new(params: DiskTraceParams, seed: u64) -> Self {
         params.validate();
         // Popularity operates on aligned extents of `request_blocks`.
-        let extents = (params.dataset_blocks / params.request_blocks as u64).max(1);
+        let extents = params.extents();
         let zipf = Zipf::new(extents.min(2_000_000) as usize, params.zipf_s)
             .expect("validated parameters");
         DiskTraceGen {

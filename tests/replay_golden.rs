@@ -143,7 +143,7 @@ fn storage_cases() -> Vec<(String, StorageRow)> {
         for gb in FLASH_GB {
             let mut sys =
                 StorageSystem::with_flash(DiskModel::laptop_remote(), FlashModel::scaled(gb));
-            let stats = sys.replay_trace(params.request_blocks, &trace);
+            let stats = sys.replay_trace(params, &trace);
             rows.push((format!("{id} flash={gb} GB"), storage_row(&stats)));
         }
     }
