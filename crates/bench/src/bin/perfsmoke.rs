@@ -32,6 +32,7 @@ use wcs_memshare::twolevel::TwoLevelSim;
 use wcs_platforms::storage::{DiskModel, FlashModel};
 use wcs_platforms::PlatformId;
 use wcs_simcore::faults::FaultProcess;
+use wcs_simcore::journal::fnv1a64;
 use wcs_simcore::obs::Registry;
 use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime, ThreadPool};
 use wcs_simserver::{
@@ -168,13 +169,6 @@ fn median_rate(mut rate: impl FnMut() -> f64) -> f64 {
     rates[RATE_REPLAYS / 2]
 }
 
-/// FNV-1a over a render, for reporting a compact checksum in the JSON.
-fn fnv64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// Byte-identity cross-check: evaluate the N2 design (every cache plus
 /// the event engine in one cell) on a fresh evaluator under every
 /// engine configuration — worker threads × memoization — and require
@@ -204,7 +198,7 @@ fn engine_cross_check(args: &cli::BenchArgs) -> (usize, u64, f64) {
         }
     });
     let (render, _) = reference.expect("at least one config ran");
-    (configs, fnv64(&render), wall_ms)
+    (configs, fnv1a64(render.as_bytes()), wall_ms)
 }
 
 /// Scale the sweep service across worker-process counts (no chaos) and

@@ -18,6 +18,7 @@ use std::fmt::Write as _;
 
 use wcs_bench::cli::{self, run_or_exit};
 use wcs_core::{DesignPoint, Evaluator, FamilyEval, ScenarioEval};
+use wcs_simcore::journal::fnv1a64;
 use wcs_simcore::ThreadPool;
 use wcs_workloads::{ScenarioSpec, TrafficPack};
 
@@ -47,13 +48,6 @@ fn run_slate(
         ));
     }
     all
-}
-
-/// FNV-1a over a render, for the compact checksum in the JSON.
-fn fnv64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 fn family_note(family: &FamilyEval) -> String {
@@ -159,7 +153,7 @@ fn main() {
         );
         gate_configs += 1;
     }
-    let render_fnv = fnv64(&reference);
+    let render_fnv = fnv1a64(reference.as_bytes());
     println!(
         "  determinism: {gate_configs} engine configs byte-identical (fnv64 {render_fnv:#018x})"
     );

@@ -55,7 +55,7 @@ use wcs_core::designs::CoolingConfig;
 use wcs_core::evaluate::EvalBuilder;
 use wcs_core::{DesignEval, DesignPoint, Evaluator, WcsError};
 use wcs_platforms::PlatformId;
-use wcs_simcore::journal;
+use wcs_simcore::journal::{self, fnv1a64};
 use wcs_simcore::obs::Registry;
 use wcs_simcore::service::{merge_journals, ServiceProgress, ServiceRecord, StatusServer};
 
@@ -257,7 +257,7 @@ fn run_worker(args: &[String]) -> i32 {
         };
         let payload = lease.encode();
         eval.memo
-            .journal_marker(lease.key(), ServiceRecord::digest(&payload), &payload);
+            .journal_marker(lease.key(), fnv1a64(&payload), &payload);
     }
 
     // Graceful shutdown: the supervisor holds our stdin open. EOF (the
@@ -323,7 +323,7 @@ fn run_worker(args: &[String]) -> i32 {
         let marker = ServiceRecord::CellDone { cell };
         let payload = marker.encode();
         eval.memo
-            .journal_marker(marker.key(), ServiceRecord::digest(&payload), &payload);
+            .journal_marker(marker.key(), fnv1a64(&payload), &payload);
     }
     eval.memo.sync_journal();
     EXIT_OK

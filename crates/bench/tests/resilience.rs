@@ -5,6 +5,7 @@
 
 use wcs_core::{ChaosPlan, DesignPoint, Evaluator, ResilienceSpec, ScenarioEval};
 use wcs_simcore::faults::FaultProcess;
+use wcs_simcore::journal::fnv1a64;
 use wcs_simcore::{SimDuration, SimRng};
 use wcs_simserver::{
     run_open_loop_resilient, AdmissionConfig, BreakerConfig, RateProfile, RequestSource,
@@ -45,13 +46,6 @@ fn run_slate(eval: &Evaluator) -> Vec<ScenarioEval> {
     all
 }
 
-/// FNV-1a over a render (the scenarios bin's checksum function).
-fn fnv64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// Without a resilience spec, the full scenarios-bin slate renders
 /// byte-identically to the build that predates the resilience layer —
 /// the checksum was captured by running that build's `scenarios` binary,
@@ -63,7 +57,7 @@ fn disabled_resilience_pins_the_pre_pr_fixture() {
     let eval = Evaluator::builder().quick().build().unwrap();
     let render = format!("{:?}", run_slate(&eval));
     assert_eq!(
-        fnv64(&render),
+        fnv1a64(render.as_bytes()),
         0x48e970d838e462d6,
         "disabled resilience must not perturb pre-PR renders"
     );

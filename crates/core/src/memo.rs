@@ -19,7 +19,7 @@ use wcs_flashcache::memo::StorageMemo;
 use wcs_memshare::slowdown::ReplayMemo;
 use wcs_simcore::event::QueueObs;
 use wcs_simcore::intern::intern;
-use wcs_simcore::journal::{JournalRecord, JournalWriter};
+use wcs_simcore::journal::{fnv1a64, JournalRecord, JournalWriter};
 use wcs_simcore::memo::{MemoCache, MemoKey, MemoStats};
 use wcs_simcore::obs::Registry;
 use wcs_workloads::perf::{MeasureConfig, MeasureError};
@@ -121,17 +121,6 @@ pub fn decode_perf(payload: &[u8]) -> Option<Result<PerfSample, MeasureError>> {
         }
         _ => None,
     }
-}
-
-/// FNV-1a 64 digest of a journal payload; cross-checked when seeding a
-/// resumed run so a CRC-colliding or hand-edited record is still dropped.
-pub fn perf_digest(payload: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in payload {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// Revision of the QoS throughput search behind the `eval-perf` lane.
@@ -236,7 +225,7 @@ impl EvalMemo {
     pub fn seed_journal(&self, records: &[JournalRecord]) -> u64 {
         let mut seeded = 0;
         for r in records {
-            if perf_digest(&r.payload) != r.digest {
+            if fnv1a64(&r.payload) != r.digest {
                 continue;
             }
             let Some(value) = decode_perf(&r.payload) else {
@@ -322,7 +311,7 @@ impl EvalMemo {
         let mut guard = self.journal.lock().unwrap_or_else(PoisonError::into_inner);
         let Some(writer) = guard.as_mut() else { return };
         let payload = encode_perf(value);
-        let digest = perf_digest(&payload);
+        let digest = fnv1a64(&payload);
         match writer.append(key, digest, &payload) {
             Ok(true) => {
                 self.journaled.fetch_add(1, Ordering::Relaxed);
@@ -549,11 +538,11 @@ mod tests {
             let back = decode_perf(&payload).expect("decode");
             assert_eq!(back, v);
             // The digest is stable and payload-sensitive.
-            let d = perf_digest(&payload);
-            assert_eq!(d, perf_digest(&payload));
+            let d = fnv1a64(&payload);
+            assert_eq!(d, fnv1a64(&payload));
             let mut damaged = payload.clone();
             damaged[0] ^= 0x80;
-            assert_ne!(d, perf_digest(&damaged));
+            assert_ne!(d, fnv1a64(&damaged));
         }
     }
 
@@ -592,7 +581,7 @@ mod tests {
         let payload = encode_perf(&value);
         let records = vec![JournalRecord {
             key,
-            digest: perf_digest(&payload),
+            digest: fnv1a64(&payload),
             payload: payload.clone(),
         }];
         assert_eq!(memo.seed_journal(&records), 1);
@@ -629,7 +618,7 @@ mod tests {
         let payload = encode_perf(&Ok(sample(42.0)));
         let records = [JournalRecord {
             key,
-            digest: perf_digest(&payload),
+            digest: fnv1a64(&payload),
             payload,
         }];
         assert_eq!(memo.seed_journal(&records), 1, "the record itself is valid");
@@ -654,7 +643,7 @@ mod tests {
             let payload = encode_perf(&Ok(sample(value)));
             JournalRecord {
                 key: key(id),
-                digest: perf_digest(&payload),
+                digest: fnv1a64(&payload),
                 payload,
             }
         };
@@ -710,9 +699,9 @@ mod tests {
         let (_, writer, _) = journal::open(&path).expect("fresh journal");
         memo.attach_journal(writer);
         let payload = [0xFE, 2, 5, 0, 0, 0];
-        assert!(memo.journal_marker(7, perf_digest(&payload), &payload));
+        assert!(memo.journal_marker(7, fnv1a64(&payload), &payload));
         assert!(
-            !memo.journal_marker(7, perf_digest(&payload), &payload),
+            !memo.journal_marker(7, fnv1a64(&payload), &payload),
             "duplicate keys dedup"
         );
         memo.sync_journal();

@@ -31,7 +31,6 @@ pub mod future;
 mod memory;
 mod net;
 mod platform;
-pub mod power;
 pub mod storage;
 
 pub use component::{BomItem, Component};
@@ -39,5 +38,4 @@ pub use cpu::{CpuModel, Microarch};
 pub use memory::{MemoryConfig, MemoryTech};
 pub use net::NicModel;
 pub use platform::{ParsePlatformError, Platform, PlatformId};
-pub use power::CpuPowerModel;
 pub use storage::{DiskLocation, DiskModel, FlashModel};

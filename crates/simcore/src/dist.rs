@@ -3,7 +3,7 @@
 //! The warehouse workloads in the paper are driven by a small set of
 //! distributions: Zipf popularity (search keywords, video popularity),
 //! exponential think/inter-arrival times, log-normal object sizes
-//! (mail bodies, attachments), Pareto heavy tails, and empirical mixes.
+//! (mail bodies, attachments), and empirical mixes.
 //! All of them are implemented here against [`SimRng`], with parameter
 //! validation at construction time.
 
@@ -185,63 +185,6 @@ impl Distribution for LogNormal {
     }
     fn mean(&self) -> f64 {
         self.mean
-    }
-}
-
-/// Bounded Pareto distribution (heavy tail with a cap, as seen in file and
-/// video size measurements).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BoundedPareto {
-    alpha: f64,
-    lo: f64,
-    hi: f64,
-}
-
-impl BoundedPareto {
-    /// Creates the distribution with shape `alpha` on `[lo, hi]`.
-    ///
-    /// # Errors
-    /// Fails unless `alpha > 0` and `0 < lo < hi`, all finite.
-    pub fn new(alpha: f64, lo: f64, hi: f64) -> Result<Self, ParamError> {
-        if !(alpha.is_finite()
-            && alpha > 0.0
-            && lo.is_finite()
-            && hi.is_finite()
-            && 0.0 < lo
-            && lo < hi)
-        {
-            return Err(ParamError::new(
-                "BoundedPareto requires alpha > 0 and 0 < lo < hi",
-            ));
-        }
-        Ok(BoundedPareto { alpha, lo, hi })
-    }
-}
-
-impl Distribution for BoundedPareto {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse-CDF of the bounded Pareto.
-        let u = rng.uniform();
-        let la = self.lo.powf(self.alpha);
-        let ha = self.hi.powf(self.alpha);
-        let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha);
-        x.clamp(self.lo, self.hi)
-    }
-
-    fn mean(&self) -> f64 {
-        let a = self.alpha;
-        let (l, h) = (self.lo, self.hi);
-        if (a - 1.0).abs() < 1e-12 {
-            // alpha == 1 limit
-            let la = l;
-            (la * (h / l).ln()) / (1.0 - (l / h))
-        } else {
-            let la = l.powf(a);
-            let ha = h.powf(a);
-            (la / (1.0 - la / ha))
-                * (a / (a - 1.0))
-                * (1.0 / l.powf(a - 1.0) - 1.0 / h.powf(a - 1.0))
-        }
     }
 }
 
@@ -495,22 +438,6 @@ mod tests {
         let m = sample_mean(&d, 11, 200_000);
         assert!((m - 10.0).abs() / 10.0 < 0.05, "mean {m}");
         assert!(LogNormal::from_mean_cv(0.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn pareto_within_bounds() {
-        let d = BoundedPareto::new(1.2, 1.0, 1000.0).unwrap();
-        let mut rng = SimRng::seed_from(13);
-        for _ in 0..2000 {
-            let x = d.sample(&mut rng);
-            assert!((1.0..=1000.0).contains(&x));
-        }
-        let m = sample_mean(&d, 17, 200_000);
-        assert!(
-            (m - d.mean()).abs() / d.mean() < 0.1,
-            "mean {m} vs {}",
-            d.mean()
-        );
     }
 
     #[test]

@@ -191,22 +191,6 @@ impl<E> Wheel<E> {
         e
     }
 
-    /// Minimum pending firing time without mutating the wheel: the
-    /// lowest occupied level's earliest slot holds the minimum; at level
-    /// 0 its front entry is it, above that the slot must be scanned.
-    fn peek_min_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        let level = (0..WHEEL_LEVELS).find(|&l| self.occ[l] != 0)?;
-        let slot = self.occ[level].trailing_zeros() as usize;
-        let bucket = &self.slots[level * WHEEL_SLOTS + slot];
-        if level == 0 {
-            return bucket.front().map(|e| e.when);
-        }
-        bucket.iter().map(|e| e.when).min()
-    }
-
     fn clear(&mut self) {
         if self.len == 0 {
             return;
@@ -511,26 +495,6 @@ impl<E> EventQueue<E> {
         Some((s.when, s.payload))
     }
 
-    /// The firing time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let lane_min = match (
-            self.heap.first().map(|s| s.when),
-            self.wheel.peek_min_time(),
-        ) {
-            (Some(h), Some(w)) => Some(h.min(w)),
-            (h, w) => h.or(w),
-        };
-        if self.immediate.is_empty() {
-            return lane_min;
-        }
-        // A lane entry may fire before the buffer's epoch; the earliest
-        // pending time is the minimum of the two.
-        Some(match lane_min {
-            Some(l) if l < self.imm_time => l,
-            _ => self.imm_time,
-        })
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + self.wheel.len + self.immediate.len()
@@ -664,11 +628,9 @@ mod tests {
     fn peek_len_clear() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(SimTime::from_nanos(3), 1);
         q.schedule(SimTime::from_nanos(1), 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(1)));
         q.clear();
         assert!(q.is_empty());
     }
@@ -821,7 +783,6 @@ mod tests {
         q.schedule(SimTime::ZERO, 1); // immediate at t = 0
         q.schedule(SimTime::from_nanos(5), 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(SimTime::ZERO));
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
@@ -901,8 +862,6 @@ mod tests {
                 assert_eq!(got, pop_model(&mut model), "diverged from the model");
             }
             assert_eq!(q.len(), model.len());
-            let earliest = model.iter().map(|&(t, _)| t).min();
-            assert_eq!(q.peek_time().map(SimTime::as_nanos), earliest);
             deepest = deepest.max(model.len() as u64);
         }
         while let Some(want) = pop_model(&mut model) {

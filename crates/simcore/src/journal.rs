@@ -144,6 +144,15 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !c
 }
 
+/// FNV-1a 64 over `bytes`: the semantic digest the result and service
+/// layers store in each record's `digest` field, and the checksum the
+/// bench bins print for a render.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 /// Encode one record into its on-disk frame.
 fn encode_frame(key: u128, digest: u64, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
@@ -411,6 +420,15 @@ mod tests {
         // Standard check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn fnv1a64_known_vector() {
+        // Published FNV-1a 64 test vectors; journals on disk carry this
+        // digest, so it must never change.
+        assert_eq!(fnv1a64(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_F739_67E8);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!   breaking,
 //! * [`SimRng`] — a seedable deterministic random-number generator,
 //! * [`dist`] — the distributions the benchmark suite needs (exponential,
-//!   log-normal, Pareto, Zipf, empirical mixes),
+//!   log-normal, Zipf, empirical mixes),
 //! * [`stats`] — online statistics and latency histograms with percentile
 //!   queries.
 //!
@@ -45,7 +45,6 @@ pub mod event;
 mod rng;
 mod time;
 
-pub mod batchmeans;
 pub mod dist;
 pub mod error;
 pub mod faults;
@@ -59,7 +58,6 @@ pub mod simd;
 pub mod slotcache;
 pub mod stats;
 pub mod table;
-pub mod timeseries;
 pub mod watchdog;
 
 pub use error::ConfigError;

@@ -342,71 +342,6 @@ impl ThreadPool {
         (results, recovery)
     }
 
-    /// Like [`par_tasks`](Self::par_tasks) but each job runs under
-    /// `catch_unwind`: a panicking job becomes `Err(TaskPanic)` in its own
-    /// slot instead of aborting the fan-out. One-shot jobs are consumed by
-    /// their attempt, so there is no retry here — retry-once applies to the
-    /// re-runnable closures of [`par_map_isolated`](Self::par_map_isolated).
-    pub fn par_tasks_isolated<'a, R: Send>(
-        &self,
-        tasks: Vec<Task<'a, R>>,
-    ) -> (Vec<Result<R, TaskPanic>>, PoolRecovery) {
-        let panics = AtomicU64::new(0);
-        let run_task = |i: usize, task: Task<'a, R>| -> Result<R, TaskPanic> {
-            match catch_unwind(AssertUnwindSafe(task)) {
-                Ok(r) => Ok(r),
-                Err(payload) => {
-                    panics.fetch_add(1, Ordering::Relaxed);
-                    Err(TaskPanic {
-                        index: i,
-                        message: panic_message(payload.as_ref()),
-                        retried: false,
-                    })
-                }
-            }
-        };
-        let workers = self.threads.min(tasks.len());
-        let results: Vec<Result<R, TaskPanic>> = if workers <= 1 {
-            tasks
-                .into_iter()
-                .enumerate()
-                .map(|(i, t)| run_task(i, t))
-                .collect()
-        } else {
-            let n = tasks.len();
-            let next = AtomicUsize::new(0);
-            let jobs: Vec<Mutex<Option<Task<'a, R>>>> =
-                tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
-            let slots: Vec<Mutex<Option<Result<R, TaskPanic>>>> =
-                (0..n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let task = lock_recover(&jobs[i]).take().expect("each job taken once");
-                        *lock_recover(&slots[i]) = Some(run_task(i, task));
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| {
-                    m.into_inner()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .expect("worker filled every slot")
-                })
-                .collect()
-        };
-        let recovery = PoolRecovery {
-            panics_caught: panics.load(Ordering::Relaxed),
-            retries: 0,
-        };
-        (results, recovery)
-    }
-
     /// Maps a fallible `f` over `items`, returning either every result in
     /// input order or the error of the **lowest-indexed** failing item —
     /// the same error a serial loop would have surfaced first, regardless
@@ -559,38 +494,6 @@ mod tests {
                 retries: 1
             }
         );
-    }
-
-    #[test]
-    fn par_tasks_isolated_catches_without_retry() {
-        let pool = ThreadPool::new(4).unwrap();
-        let tasks: Vec<Task<'_, u64>> = (0..12u64)
-            .map(|i| {
-                Box::new(move || {
-                    if i == 3 {
-                        panic!("job {i} exploded");
-                    }
-                    i * i
-                }) as Task<'_, u64>
-            })
-            .collect();
-        let (out, recovery) = pool.par_tasks_isolated(tasks);
-        assert_eq!(
-            recovery,
-            PoolRecovery {
-                panics_caught: 1,
-                retries: 0
-            }
-        );
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 {
-                let e = r.as_ref().unwrap_err();
-                assert!(!e.retried);
-                assert!(e.message.contains("job 3 exploded"));
-            } else {
-                assert_eq!(*r.as_ref().unwrap(), (i * i) as u64);
-            }
-        }
     }
 
     #[test]

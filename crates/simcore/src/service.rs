@@ -151,18 +151,6 @@ impl ServiceRecord {
             _ => None,
         }
     }
-
-    /// Digest for the journal frame — FNV-1a 64 over the payload, the
-    /// same construction the result layer uses, so every record in a
-    /// worker journal carries a self-describing digest.
-    pub fn digest(payload: &[u8]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for &b in payload {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
-    }
 }
 
 /// Outcome of merging per-worker journals.
@@ -444,12 +432,13 @@ fn serve_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::fnv1a64;
 
     fn result_record(key: u128, byte: u8) -> JournalRecord {
         let payload = vec![0u8, byte, byte, byte];
         JournalRecord {
             key,
-            digest: ServiceRecord::digest(&payload),
+            digest: fnv1a64(&payload),
             payload,
         }
     }
@@ -516,7 +505,7 @@ mod tests {
             let payload = r.encode();
             JournalRecord {
                 key: r.key(),
-                digest: ServiceRecord::digest(&payload),
+                digest: fnv1a64(&payload),
                 payload,
             }
         };

@@ -8,7 +8,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wcs_simcore::journal::{self, JournalRecord};
+use wcs_simcore::journal::{self, fnv1a64, JournalRecord};
 use wcs_simcore::service::{merge_journals, ServiceRecord};
 use wcs_simcore::SimRng;
 
@@ -28,7 +28,7 @@ fn result_record(key: u128) -> JournalRecord {
     payload.extend((0..len).map(|_| rng.next_u64() as u8));
     JournalRecord {
         key,
-        digest: ServiceRecord::digest(&payload),
+        digest: fnv1a64(&payload),
         payload,
     }
 }
@@ -43,7 +43,7 @@ fn lease(worker: u32, start: u32, end: u32, attempt: u32) -> JournalRecord {
     let payload = r.encode();
     JournalRecord {
         key: r.key(),
-        digest: ServiceRecord::digest(&payload),
+        digest: fnv1a64(&payload),
         payload,
     }
 }
@@ -53,7 +53,7 @@ fn marker(cell: u32) -> JournalRecord {
     let payload = r.encode();
     JournalRecord {
         key: r.key(),
-        digest: ServiceRecord::digest(&payload),
+        digest: fnv1a64(&payload),
         payload,
     }
 }
@@ -161,7 +161,7 @@ fn first_valid_record_wins_per_key() {
     // deterministically and is counted.
     let mut evil = result_record(5);
     evil.payload.push(0xFF);
-    evil.digest = ServiceRecord::digest(&evil.payload);
+    evil.digest = fnv1a64(&evil.payload);
     let with_conflict = merge_journals(&[vec![evil.clone()], a, b]);
     assert!(with_conflict.conflicts >= 1, "the conflict must be counted");
     let resolved = merge_journals(&[with_conflict.records.clone(), vec![evil]]);
@@ -209,7 +209,7 @@ fn torn_tails_merge_to_the_union_of_valid_prefixes() {
         assert!(merged
             .records
             .iter()
-            .all(|r| ServiceRecord::digest(&r.payload) == r.digest));
+            .all(|r| fnv1a64(&r.payload) == r.digest));
         let _ = std::fs::remove_file(&path);
     }
 }

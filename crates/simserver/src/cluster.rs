@@ -20,17 +20,16 @@
 //!
 //! The closed loop defined here is the one closed loop of the crate:
 //! [`ServerSim`](crate::ServerSim) runs it as a lone server with no
-//! dispatcher stream and no demand inflation, and
-//! [`trace_closed_loop`](crate::trace_closed_loop) adds a recorder hook.
+//! dispatcher stream and no demand inflation.
 
 use std::collections::VecDeque;
 
-use wcs_simcore::{ConfigError, SimDuration, SimRng, SimTime};
+use wcs_simcore::{ConfigError, SimRng, SimTime};
 
 use crate::engine::{RunStats, ServerSpec};
 use crate::failover::{ClusterFaults, RetryPolicy};
 use crate::kernel::{Adapter, Ev, Kernel, Work};
-use crate::request::{RequestSource, Resource, Stage};
+use crate::request::{RequestSource, Stage};
 use crate::resilience::{CircuitBreaker, ResilienceConfig, ResilienceStats, RetryBudget};
 
 /// Dispatch policy of the front-end load balancer.
@@ -61,8 +60,6 @@ pub struct Cluster {
 
 /// Closed-loop adapter events.
 pub(crate) enum ClosedEvent {
-    /// A client's think time expired; it issues its next request.
-    Launch,
     /// A dispatched attempt's timeout expired; `gen` must still match
     /// its slot.
     Timeout { slot: u32, gen: u32 },
@@ -72,36 +69,20 @@ pub(crate) enum ClosedEvent {
     Up { server: u32 },
 }
 
-/// What a closed loop records beyond its statistics: nothing, or each
-/// request's timeline for [`trace_closed_loop`](crate::trace_closed_loop).
-pub(crate) trait Recorder {
-    /// Per-request recording state.
-    type Slot: Default;
-    /// A request starts service at a station.
-    fn on_start(_data: &mut Self::Slot, _res: Resource, _queued: SimDuration, _svc: SimDuration) {}
-    /// A request completed (zero-demand requests arrive with no data).
-    fn on_complete(&mut self, _started: SimTime, _data: Self::Slot, _now: SimTime) {}
-}
-
-impl Recorder for () {
-    type Slot = ();
-}
-
 /// Per-slot state of one attempt: the client gave up on it (timeout),
 /// and the work keeps draining on the server but no longer counts.
 #[derive(Default)]
-pub(crate) struct Attempt<T> {
+pub(crate) struct Attempt {
     abandoned: bool,
-    recorded: T,
 }
 
 /// Closed-loop clients, each keeping one request in flight, behind a
 /// dispatcher over one or more servers — with failover, timeouts,
-/// retries, parking, breakers and think time. [`ServerSim`], tracing and
-/// [`Cluster`] are all this loop.
+/// retries, parking and breakers. [`ServerSim`] and [`Cluster`] are
+/// both this loop.
 ///
 /// [`ServerSim`]: crate::ServerSim
-pub(crate) struct ClosedLoop<'a, R> {
+pub(crate) struct ClosedLoop<'a> {
     source: &'a mut dyn RequestSource,
     rng: SimRng,
     /// The dispatcher's own stream; a lone server without a dispatcher
@@ -110,7 +91,6 @@ pub(crate) struct ClosedLoop<'a, R> {
     dispatch: Dispatch,
     /// Per-request demand inflation; `None` leaves services untouched.
     inflation: Option<f64>,
-    think_mean: Option<SimDuration>,
     retry: RetryPolicy,
     budget: Option<RetryBudget>,
     breakers: Option<Vec<CircuitBreaker>>,
@@ -132,27 +112,18 @@ pub(crate) struct ClosedLoop<'a, R> {
     /// still ends instead of generating retry work forever.
     dropped_total: u64,
     stats: ResilienceStats,
-    recorder: R,
 }
 
-impl<'a, R: Recorder> ClosedLoop<'a, R> {
+impl<'a> ClosedLoop<'a> {
     /// Clients on `servers` servers without a dispatcher stream, demand
-    /// inflation, think time, faults or resilience; stops after `target`
-    /// completions.
-    pub fn new(
-        source: &'a mut dyn RequestSource,
-        seed: u64,
-        servers: usize,
-        target: u64,
-        recorder: R,
-    ) -> Self {
+    /// inflation, faults or resilience; stops after `target` completions.
+    pub fn new(source: &'a mut dyn RequestSource, seed: u64, servers: usize, target: u64) -> Self {
         ClosedLoop {
             source,
             rng: SimRng::seed_from(seed),
             dispatch_rng: None,
             dispatch: Dispatch::LeastLoaded,
             inflation: None,
-            think_mean: None,
             retry: RetryPolicy::none(),
             budget: None,
             breakers: None,
@@ -165,15 +136,7 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
             target,
             dropped_total: 0,
             stats: ResilienceStats::default(),
-            recorder,
         }
-    }
-
-    /// Adds an exponential think time between a response and a client's
-    /// next request.
-    pub fn think(mut self, mean: Option<SimDuration>) -> Self {
-        self.think_mean = mean;
-        self
     }
 
     /// Runs `n_clients` clients under the outage plan `faults` until
@@ -184,7 +147,7 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
         n_clients: u32,
         warmup: u64,
         faults: &ClusterFaults,
-    ) -> (RunStats, ResilienceStats, R) {
+    ) -> (RunStats, ResilienceStats) {
         let s = self.up.len();
         // Pre-size for the steady state: at most one service event and
         // one timeout per client in flight, plus the outage plan.
@@ -231,7 +194,7 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
             self.stats.breaker_trips = bs.iter().map(CircuitBreaker::trips).sum();
             self.stats.breaker_open_ns = bs.iter().map(|b| b.open_ns(end)).sum();
         }
-        (stats, self.stats, self.recorder)
+        (stats, self.stats)
     }
 
     /// Picks an eligible server per the dispatch policy; `None` when
@@ -329,7 +292,6 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
             }
             if stages.is_empty() {
                 k.complete(now, now);
-                self.recorder.on_complete(now, R::Slot::default(), now);
                 continue;
             }
             if let Some(inflation) = self.inflation {
@@ -365,13 +327,12 @@ impl<'a, R: Recorder> ClosedLoop<'a, R> {
     }
 }
 
-impl<R: Recorder> Adapter for ClosedLoop<'_, R> {
+impl Adapter for ClosedLoop<'_> {
     type Event = ClosedEvent;
-    type Slot = Attempt<R::Slot>;
+    type Slot = Attempt;
 
     fn on_event(&mut self, k: &mut Kernel<Self>, ev: ClosedEvent, now: SimTime) {
         match ev {
-            ClosedEvent::Launch => self.launch(k, now),
             ClosedEvent::Down { server } => {
                 let server = server as usize;
                 self.up[server] = false;
@@ -418,9 +379,8 @@ impl<R: Recorder> Adapter for ClosedLoop<'_, R> {
     }
 
     fn on_complete(&mut self, k: &mut Kernel<Self>, slot: usize, now: SimTime) {
-        let s = &mut k.slots[slot];
+        let s = &k.slots[slot];
         let (server, started, abandoned) = (s.server as usize, s.work.started, s.data.abandoned);
-        let recorded = std::mem::take(&mut s.data.recorded);
         self.in_flight[server] -= 1;
         k.release(slot);
         if abandoned {
@@ -430,23 +390,11 @@ impl<R: Recorder> Adapter for ClosedLoop<'_, R> {
             bs[server].record_success(now);
         }
         k.complete(started, now);
-        self.recorder.on_complete(started, recorded, now);
-        match self.think_mean {
-            Some(mean) if !mean.is_zero() => {
-                let think = self.rng.exp_duration(mean);
-                k.events
-                    .schedule(now + think, Ev::Hook(ClosedEvent::Launch));
-            }
-            _ => self.launch(k, now),
-        }
+        self.launch(k, now);
     }
 
     fn done(&self, k: &Kernel<Self>) -> bool {
         k.completed + self.dropped_total >= self.target
-    }
-
-    fn on_start(data: &mut Self::Slot, res: Resource, queued: SimDuration, svc: SimDuration) {
-        R::on_start(&mut data.recorded, res, queued, svc);
     }
 }
 
@@ -599,7 +547,7 @@ impl Cluster {
             });
         }
         let s = self.servers as usize;
-        let mut cl = ClosedLoop::new(source, seed, s, warmup + measured, ());
+        let mut cl = ClosedLoop::new(source, seed, s, warmup + measured);
         cl.dispatch_rng = Some(cl.rng.fork(99));
         cl.dispatch = self.dispatch;
         cl.inflation = Some(self.inflation());
@@ -613,7 +561,7 @@ impl Cluster {
                 .map(|srv| CircuitBreaker::new(cfg, seed ^ 0xB4EA_0001, srv as u64))
                 .collect()
         });
-        let (mut stats, res, ()) = cl.run(self.spec, n_clients, warmup, faults);
+        let (mut stats, res) = cl.run(self.spec, n_clients, warmup, faults);
         stats.faults.offered = stats.completed + stats.faults.dropped;
         Ok((stats, res))
     }
@@ -623,6 +571,8 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::engine::ServerSim;
+    use crate::request::Resource;
+    use wcs_simcore::SimDuration;
 
     fn exp_cpu(us: u64) -> impl FnMut(&mut SimRng) -> Vec<Stage> {
         move |rng: &mut SimRng| {

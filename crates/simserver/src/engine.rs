@@ -162,31 +162,11 @@ impl ServerSim {
         measured: u64,
         seed: u64,
     ) -> RunStats {
-        self.run_closed_loop_think(source, n_clients, None, warmup, measured, seed)
-    }
-
-    /// Like [`run_closed_loop`](Self::run_closed_loop), but each client
-    /// waits an exponentially distributed think time (mean `think_mean`)
-    /// between receiving a response and issuing its next request — the
-    /// "user-defined think time" of the paper's client driver.
-    ///
-    /// # Panics
-    /// Panics if `n_clients` or `measured` is zero.
-    pub fn run_closed_loop_think(
-        &self,
-        source: &mut dyn RequestSource,
-        n_clients: u32,
-        think_mean: Option<SimDuration>,
-        warmup: u64,
-        measured: u64,
-        seed: u64,
-    ) -> RunStats {
         assert!(n_clients > 0, "need at least one client");
         assert!(measured > 0, "need a measurement window");
         // A lone server: no dispatcher stream, no demand inflation, no
         // faults.
-        ClosedLoop::new(source, seed, 1, warmup + measured, ())
-            .think(think_mean)
+        ClosedLoop::new(source, seed, 1, warmup + measured)
             .run(self.spec, n_clients, warmup, &ClusterFaults::fail_free())
             .0
     }
@@ -314,63 +294,5 @@ mod tests {
     fn rejects_zero_clients() {
         let sim = ServerSim::new(ServerSpec::new(1));
         sim.run_closed_loop(&mut cpu_only(1), 0, 1, 1, 1);
-    }
-}
-
-#[cfg(test)]
-mod think_tests {
-    use super::*;
-    use crate::request::Stage;
-    use wcs_simcore::SimRng;
-
-    fn cpu_only(us: u64) -> impl FnMut(&mut SimRng) -> Vec<Stage> {
-        move |_rng| vec![Stage::new(Resource::Cpu, SimDuration::from_micros(us))]
-    }
-
-    #[test]
-    fn think_time_reduces_offered_load() {
-        // One client, 1 ms service, 9 ms mean think: ~100 RPS instead of
-        // 1000.
-        let sim = ServerSim::new(ServerSpec::new(1));
-        let stats = sim.run_closed_loop_think(
-            &mut cpu_only(1000),
-            1,
-            Some(SimDuration::from_millis(9)),
-            200,
-            3000,
-            3,
-        );
-        let rps = stats.throughput_rps();
-        assert!((rps - 100.0).abs() < 8.0, "rps {rps}");
-        // Latency stays at the service time: no queueing.
-        let p50 = stats.latency.percentile(50.0).unwrap();
-        assert!((p50 - 1e-3).abs() < 1e-4, "p50 {p50}");
-    }
-
-    #[test]
-    fn zero_think_matches_plain_closed_loop() {
-        let sim = ServerSim::new(ServerSpec::new(2));
-        let a = sim.run_closed_loop(&mut cpu_only(500), 4, 100, 1000, 9);
-        let b =
-            sim.run_closed_loop_think(&mut cpu_only(500), 4, Some(SimDuration::ZERO), 100, 1000, 9);
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.window, b.window);
-    }
-
-    #[test]
-    fn many_thinking_clients_saturate_like_few_eager_ones() {
-        let sim = ServerSim::new(ServerSpec::new(1));
-        // 50 clients with 4 ms think against a 1 ms server: offered load
-        // 50/(5ms) = 10k RPS >> 1k capacity; throughput pins at capacity.
-        let stats = sim.run_closed_loop_think(
-            &mut cpu_only(1000),
-            50,
-            Some(SimDuration::from_millis(4)),
-            200,
-            3000,
-            5,
-        );
-        let rps = stats.throughput_rps();
-        assert!((rps - 1000.0).abs() < 30.0, "rps {rps}");
     }
 }

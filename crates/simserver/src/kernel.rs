@@ -17,7 +17,7 @@
 use std::collections::VecDeque;
 
 use wcs_simcore::stats::Histogram;
-use wcs_simcore::{EventQueue, SimDuration, SimTime};
+use wcs_simcore::{EventQueue, SimTime};
 
 use crate::engine::{RunStats, ServerSpec};
 use crate::failover::{FaultStats, RetryPolicy};
@@ -88,8 +88,6 @@ pub(crate) trait Adapter: Sized {
     fn on_retry(&mut self, k: &mut Kernel<Self>, work: Work, now: SimTime);
     /// Checked after every event: `true` ends the run.
     fn done(&self, k: &Kernel<Self>) -> bool;
-    /// Called as a request starts service at a station.
-    fn on_start(_data: &mut Self::Slot, _res: Resource, _queued: SimDuration, _svc: SimDuration) {}
 }
 
 /// The station network's state for one run.
@@ -236,11 +234,9 @@ impl<A: Adapter> Kernel<A> {
     fn start(&mut self, station: usize, slot: usize, now: SimTime) {
         let st = &mut self.stations[station];
         st.busy += 1;
-        let s = &mut self.slots[slot];
+        let s = &self.slots[slot];
         let service = s.work.stages[s.next as usize].service;
         st.busy_ns += service.as_nanos() as u128;
-        let queued = now.saturating_sub(s.enqueued_at);
-        A::on_start(&mut s.data, Resource::ALL[station % 4], queued, service);
         let (slot, gen, station) = (slot as u32, s.gen, station as u32);
         self.events
             .schedule(now + service, Ev::Done { slot, gen, station });

@@ -52,7 +52,6 @@ mod kernel;
 pub mod openloop;
 mod request;
 pub mod resilience;
-pub mod tracing;
 
 pub use batch::{run_batch, BatchResult};
 pub use cluster::{Cluster, Dispatch};
@@ -65,4 +64,3 @@ pub use resilience::{
     AdmissionConfig, BreakerConfig, CircuitBreaker, Priority, ResilienceConfig, ResilienceStats,
     RetryBudget, RetryBudgetConfig, TokenBucket,
 };
-pub use tracing::{trace_closed_loop, RequestTrace, StageVisit};

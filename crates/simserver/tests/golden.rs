@@ -4,8 +4,8 @@
 //! `f64` by its bits) into two digests:
 //!
 //! * **A** — every result field (`RunStats`, `BatchResult`,
-//!   `ResilienceStats`, `FaultStats`, `RequestTrace`,
-//!   `ThroughputResult`) plus `queue.scheduled`. Histograms enter
+//!   `ResilienceStats`, `FaultStats`, `ThroughputResult`) plus
+//!   `queue.scheduled`. Histograms enter
 //!   through their public accessors: count, mean and max by bits, and
 //!   every integer percentile.
 //! * **B** — the other four `QueueObs` counters (`fast_path`,
@@ -18,8 +18,8 @@
 //! inflates services through `SimDuration * f64`), so a one-server
 //! cluster is not a `ServerSim`; `run_batch` starts all four stations in
 //! `Resource::ALL` order after every event (pinned with identical-service
-//! tasks); empty-stage requests, zero-length stages, think time, every
-//! dispatch policy, a flapping fault plan with timeouts, a whole-cluster
+//! tasks); empty-stage requests, zero-length stages, every dispatch
+//! policy, a flapping fault plan with timeouts, a whole-cluster
 //! outage, and a resilient open loop with every mechanism on.
 
 use wcs_simcore::event::QueueObs;
@@ -29,10 +29,9 @@ use wcs_simcore::{SimDuration, SimRng, SimTime};
 use wcs_simserver::driver::SearchConfig;
 use wcs_simserver::{
     find_max_throughput, run_batch, run_open_loop, run_open_loop_profiled, run_open_loop_resilient,
-    trace_closed_loop, AdmissionConfig, BatchResult, BreakerConfig, Cluster, ClusterFaults,
-    Dispatch, FaultStats, QosSpec, RateProfile, RequestSource, RequestTrace, ResilienceConfig,
-    ResilienceStats, Resource, RetryBudgetConfig, RetryPolicy, RunStats, ServerSim, ServerSpec,
-    Stage, ThroughputResult,
+    AdmissionConfig, BatchResult, BreakerConfig, Cluster, ClusterFaults, Dispatch, FaultStats,
+    QosSpec, RateProfile, RequestSource, ResilienceConfig, ResilienceStats, Resource,
+    RetryBudgetConfig, RetryPolicy, RunStats, ServerSim, ServerSpec, Stage, ThroughputResult,
 };
 
 /// FNV-1a over 64-bit words.
@@ -111,21 +110,6 @@ impl Digest {
             .u64(b.tasks as u64)
             .utilization(&b.utilization)
             .u64(b.queue.scheduled)
-    }
-
-    fn traces(&mut self, traces: &[RequestTrace]) -> &mut Self {
-        self.u64(traces.len() as u64);
-        for t in traces {
-            self.u64(t.arrived.as_nanos())
-                .u64(t.completed.as_nanos())
-                .u64(t.visits.len() as u64);
-            for v in &t.visits {
-                self.u64(v.resource.index() as u64)
-                    .u64(v.queued.as_nanos())
-                    .u64(v.service.as_nanos());
-            }
-        }
-        self
     }
 
     fn throughput(&mut self, r: &ThroughputResult) -> &mut Self {
@@ -299,23 +283,6 @@ fn server_sim_closed_loop() {
 }
 
 #[test]
-fn server_sim_think_time() {
-    let sim = ServerSim::new(spec());
-    let stats = sim.run_closed_loop_think(&mut mixed, 12, Some(ms(2)), 200, 3000, 12);
-    pin(
-        "think/mixed",
-        run_case(&stats),
-        (0x559a0b9b0dcf7154, Some(0xd48e0b643f01bce2)),
-    );
-    let stats = sim.run_closed_loop_think(&mut fixed, 4, Some(us(700)), 100, 1500, 15);
-    pin(
-        "think/fixed",
-        run_case(&stats),
-        (0x1cac8fb395d0654e, Some(0x6d0eb1c15796522a)),
-    );
-}
-
-#[test]
 fn driver_search() {
     let sim = ServerSim::new(spec());
     let mut make = || -> Box<dyn RequestSource> { Box::new(mixed) };
@@ -391,34 +358,6 @@ fn batch_runs() {
         "batch/mixed",
         (digest_a(|d| d.batch(&res)), Some(digest_b(&res.queue))),
         (0x90c55e87e5f5ffd9, Some(0xc33cdc8579dce3b4)),
-    );
-}
-
-#[test]
-fn traced_closed_loop() {
-    let traces = trace_closed_loop(spec(), &mut mixed, 4, 400, 17);
-    pin(
-        "trace/mixed",
-        (digest_a(|d| d.traces(&traces)), None),
-        (0x63c97ae5ef09430f, None),
-    );
-    let traces = trace_closed_loop(ServerSpec::new(1), &mut shapes(), 4, 120, 15);
-    pin(
-        "trace/shapes",
-        (digest_a(|d| d.traces(&traces)), None),
-        (0xac3f9c27243b877f, None),
-    );
-    let traces = trace_closed_loop(ServerSpec::new(1), &mut fixed, 3, 120, 18);
-    pin(
-        "trace/fixed",
-        (digest_a(|d| d.traces(&traces)), None),
-        (0x079b10df6c2600b2, None),
-    );
-    let traces = trace_closed_loop(spec(), &mut mostly_empty, 2, 50, 19);
-    pin(
-        "trace/mostly-empty",
-        (digest_a(|d| d.traces(&traces)), None),
-        (0x25e8c56d0bf5e68a, None),
     );
 }
 

@@ -53,20 +53,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analytic;
 pub mod calib;
 pub mod dag;
 pub mod disktrace;
 pub mod diurnal;
 pub mod faas;
 pub mod memtrace;
-pub mod mix;
 pub mod perf;
-pub mod queries;
 pub mod registry;
 pub mod scenario;
 pub mod service;
-pub mod sessions;
 mod spec;
 pub mod suite;
 pub mod tracefile;

@@ -146,36 +146,6 @@ fn qos_infeasible_design_reports_cleanly() {
 }
 
 #[test]
-fn session_structured_webmail_matches_calibrated_throughput() {
-    // Replacing the log-normal request stream with LoadSim-style session
-    // structure (same mean demand) must not shift webmail's measured
-    // throughput by much — the calibration is preserved by construction.
-    use wcs::platforms::catalog;
-    use wcs::simserver::ServerSim;
-    use wcs::workloads::service::PlatformDemand;
-    use wcs::workloads::sessions::SessionSource;
-    use wcs::workloads::suite;
-
-    let wl = suite::workload(WorkloadId::Webmail);
-    let platform = catalog::platform(PlatformId::Desk);
-    let demand = PlatformDemand::new(&wl, &platform);
-    let sim = ServerSim::new(demand.server_spec());
-
-    let lognormal = sim
-        .run_closed_loop(&mut demand.source(1), 8, 300, 4000, 99)
-        .throughput_rps();
-    let mut sessions = SessionSource::new(demand, 8);
-    let structured = sim
-        .run_closed_loop(&mut sessions, 8, 300, 4000, 99)
-        .throughput_rps();
-    let ratio = structured / lognormal;
-    assert!(
-        (0.85..=1.15).contains(&ratio),
-        "session structure shifted throughput by {ratio}"
-    );
-}
-
-#[test]
 fn open_loop_agrees_with_closed_loop_at_matched_load() {
     // Drive the open loop at 70% of the closed loop's saturated
     // throughput; it must sustain that arrival rate.

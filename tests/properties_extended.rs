@@ -1,5 +1,5 @@
 //! Property-based tests over the extension substrates: FTL, blade
-//! directory, link contention, diurnal curves, time series, batch means.
+//! directory, link contention, diurnal curves.
 //!
 //! Like `properties.rs`, these use a deterministic fixed-seed case
 //! generator instead of `proptest` (unavailable in the offline build).
@@ -8,12 +8,8 @@ use wcs::flashcache::ftl::Ftl;
 use wcs::memshare::contention::SharedLink;
 use wcs::memshare::directory::{BladeDirectory, ServerId};
 use wcs::memshare::link::RemoteLink;
-use wcs::simcore::batchmeans::batch_means_ci;
-use wcs::simcore::timeseries::TimeSeries;
-use wcs::simcore::{SimDuration, SimRng, SimTime};
+use wcs::simcore::SimRng;
 use wcs::workloads::diurnal::DiurnalCurve;
-use wcs::workloads::mix::WorkloadMix;
-use wcs::workloads::WorkloadId;
 
 const CASES: usize = 48;
 
@@ -105,83 +101,5 @@ fn diurnal_bounds() {
         assert!(v >= trough - 1e-9 && v <= 1.0 + 1e-9, "load {v}");
         assert!((c.mean_load() - (1.0 + trough) / 2.0).abs() < 1e-12);
         assert!((c.load_at(peak) - 1.0).abs() < 1e-9);
-    }
-}
-
-/// Time-series window totals equal the number of recorded samples.
-#[test]
-fn timeseries_conserves_counts() {
-    let mut rng = SimRng::seed_from(0x75E);
-    for _ in 0..CASES {
-        let n = 1 + rng.index(299);
-        let times: Vec<u64> = (0..n).map(|_| rng.next_u64() % 10_000_000).collect();
-        let mut ts = TimeSeries::new(SimDuration::from_micros(100));
-        for &t in &times {
-            ts.record(SimTime::from_nanos(t), 1.0);
-        }
-        let total: u64 = ts.windows().iter().map(|w| w.count).sum();
-        assert_eq!(total, times.len() as u64);
-        let peak = ts.peak_window().unwrap();
-        for w in ts.windows() {
-            assert!(w.count <= peak.count);
-        }
-    }
-}
-
-/// Batch-means intervals always contain their own grand mean and shrink
-/// (weakly) with more batches of iid data.
-#[test]
-fn batch_means_sane() {
-    let mut rng = SimRng::seed_from(0xBA7);
-    for _ in 0..CASES {
-        let n = 40 + rng.index(360);
-        let values: Vec<f64> = (0..n).map(|_| rng.uniform_range(0.0, 100.0)).collect();
-        let ci = batch_means_ci(&values, 10).unwrap();
-        assert!(ci.contains(ci.mean));
-        assert!(ci.half_width >= 0.0);
-        let grand = {
-            let per = values.len() / 10;
-            let used = &values[..per * 10];
-            used.iter().sum::<f64>() / used.len() as f64
-        };
-        assert!((ci.mean - grand).abs() < 1e-9);
-    }
-}
-
-/// Workload-mix aggregation sits between the min and max member rates
-/// and equals the plain value on a uniform vector.
-#[test]
-fn mix_aggregate_bounded() {
-    let mut rng = SimRng::seed_from(0xA88);
-    for _ in 0..CASES {
-        let vals: Vec<f64> = (0..5).map(|_| rng.uniform_range(0.1, 100.0)).collect();
-        let perf: std::collections::BTreeMap<_, _> = WorkloadId::ALL
-            .iter()
-            .copied()
-            .zip(vals.iter().copied())
-            .collect();
-        let agg = WorkloadMix::uniform().aggregate_perf(&perf).unwrap();
-        let min = vals.iter().cloned().fold(f64::MAX, f64::min);
-        let max = vals.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(agg >= min - 1e-9 && agg <= max + 1e-9);
-    }
-}
-
-/// Fleet partitions always sum to the fleet, for any normalized mix.
-#[test]
-fn mix_partition_conserves_servers() {
-    let mut rng = SimRng::seed_from(0x5E2);
-    for _ in 0..CASES {
-        let w: Vec<f64> = (0..5).map(|_| rng.uniform_range(0.01, 10.0)).collect();
-        let servers = 1 + (rng.next_u64() % 4999) as u32;
-        let entries: Vec<_> = WorkloadId::ALL
-            .iter()
-            .copied()
-            .zip(w.iter().copied())
-            .collect();
-        let mix = WorkloadMix::new(&entries);
-        let parts = mix.partition_fleet(servers);
-        let total: u32 = parts.values().sum();
-        assert_eq!(total, servers);
     }
 }
