@@ -9,8 +9,10 @@ size is a function of the seconds, so every pin is host-independent.
 Per workload, the untraced and the traced result digests must equal the
 pinned digest (what the evals computed), and the traced work counts in
 the result line's `metrics` must equal their pins (how much work the
-layers did to compute it). A change that only speeds a layer up moves
-neither; moving one is a re-baseline, recorded in CHANGES.md.
+layers did to compute it). `workloads.memtrace.accesses` counts the
+accesses of every trace materialized, so a change that skips or
+duplicates a trace build fails it. A change that only speeds a layer up
+moves neither; moving one is a re-baseline, recorded in CHANGES.md.
 """
 
 import json
@@ -25,11 +27,13 @@ PINS = {
             "simserver.driver.probes": 612,
             "simserver.batch.events": 86_016,
             "simcore.event.scheduled": 11_105_751,
+            "workloads.memtrace.accesses": 0,
         },
     ),
     "design-sweep": (
         "cb685337abe1695b",
         {
+            "workloads.memtrace.accesses": 20_000_000,
             "memshare.replay.accesses": 160_000_000,
             "flashcache.replay.blocks": 576_000_000,
             "simserver.driver.events": 2_160_456,
@@ -42,6 +46,7 @@ PINS = {
             "simserver.openloop.events": 7_986_570,
             "simserver.resilience.events": 6_707_280,
             "simcore.event.scheduled": 14_721_498,
+            "workloads.memtrace.accesses": 16_000_000,
         },
     ),
 }

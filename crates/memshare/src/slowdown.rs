@@ -99,10 +99,16 @@ impl SlowdownResult {
 /// a PCIe point and a CBF point therefore share one replay.
 ///
 /// Materialized traces are shared too, behind `Arc`s, in compact
-/// [`MemTraceBuf`] form.
+/// [`MemTraceBuf`] form, and so are their page columns: traces whose
+/// footprint, skew, seed and length agree draw the same pages (they
+/// differ only in write fraction), so the second one runs only the
+/// write-only pass ([`MemTraceBuf::with_pages`]).
 #[derive(Debug, Default)]
 pub struct ReplayMemo {
     traces: MemoCache<Arc<MemTraceBuf>>,
+    /// Page columns by `(footprint, skew, seed, n)`, read only on a
+    /// trace miss and left out of [`stats`](Self::stats).
+    pages: MemoCache<Arc<Box<[u32]>>>,
     runs: MemoCache<MissStats>,
     obs: Registry,
 }
@@ -123,6 +129,7 @@ impl ReplayMemo {
     pub fn with_enabled(enabled: bool) -> Self {
         ReplayMemo {
             traces: MemoCache::with_enabled(enabled),
+            pages: MemoCache::with_enabled(enabled),
             runs: MemoCache::with_enabled(enabled),
             obs: Registry::disabled(),
         }
@@ -143,7 +150,7 @@ impl ReplayMemo {
         self.runs.is_enabled()
     }
 
-    /// Combined hit/miss counters (trace materializations + replays).
+    /// Combined hit/miss counters (trace lookups + replays).
     pub fn stats(&self) -> MemoStats {
         self.traces.stats().merged(&self.runs.stats())
     }
@@ -157,7 +164,8 @@ impl ReplayMemo {
     /// [`trace`](Self::trace) with a cache miss materialized on `pool`'s
     /// threads. The parallel generator is bit-identical to the
     /// sequential one for every pool size, so the memo key is shared
-    /// with [`trace`](Self::trace).
+    /// with [`trace`](Self::trace). A miss whose page column is already
+    /// built draws only the write bits over it.
     pub fn trace_par(
         &self,
         params: MemTraceParams,
@@ -171,7 +179,18 @@ impl ReplayMemo {
             .push_usize(n)
             .finish();
         self.traces.get_or_compute(key, || {
-            Arc::new(MemTraceBuf::generate_par(params, seed, n, pool))
+            let column = MemoKey::new("memtrace-pages")
+                .push_u64(params.footprint_pages)
+                .push_f64(params.zipf_s)
+                .push_u64(seed)
+                .push_usize(n)
+                .finish();
+            if let Some(pages) = self.pages.get(column) {
+                return Arc::new(MemTraceBuf::with_pages(pages, params, seed, pool));
+            }
+            let buf = MemTraceBuf::generate_par(params, seed, n, pool);
+            self.pages.insert(column, Arc::clone(buf.page_column()));
+            Arc::new(buf)
         })
     }
 }
@@ -411,6 +430,31 @@ mod tests {
         }
         let s = memo.stats();
         assert!(s.hits >= 2, "CBF rows should hit (stats {s:?})");
+    }
+
+    #[test]
+    fn traces_share_page_columns_by_footprint_skew_seed_and_length() {
+        let memo = ReplayMemo::new();
+        let n = 3_000;
+        let trace = |id| memo.trace(params_for(id), 11, n);
+        let wc = trace(WorkloadId::MapredWc);
+        let wr = trace(WorkloadId::MapredWr);
+        let ws = trace(WorkloadId::Websearch);
+        assert!(Arc::ptr_eq(wc.page_column(), wr.page_column()));
+        assert!(!Arc::ptr_eq(wc.page_column(), ws.page_column()));
+        let fresh = MemTraceBuf::generate(params_for(WorkloadId::MapredWr), 11, n);
+        for i in 0..n {
+            assert_eq!(wr.get(i), fresh.get(i), "access {i}");
+        }
+        // Only trace lookups count: three misses, then one hit.
+        assert_eq!(memo.stats(), MemoStats { hits: 0, misses: 3 });
+        assert!(Arc::ptr_eq(&trace(WorkloadId::MapredWr), &wr));
+        assert_eq!(memo.stats(), MemoStats { hits: 1, misses: 3 });
+        // Another length or seed gets its own column.
+        let longer = memo.trace(params_for(WorkloadId::MapredWr), 11, n + 1);
+        let reseeded = memo.trace(params_for(WorkloadId::MapredWr), 12, n);
+        assert!(!Arc::ptr_eq(longer.page_column(), wc.page_column()));
+        assert!(!Arc::ptr_eq(reseeded.page_column(), wc.page_column()));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Random distributions used by the benchmark suite.
 //!
 //! The warehouse workloads in the paper are driven by a small set of
-//! distributions: Zipf popularity (search keywords, video popularity),
-//! exponential think/inter-arrival times, log-normal object sizes
-//! (mail bodies, attachments), and empirical mixes.
+//! distributions: Zipf popularity (memory pages, disk extents),
+//! exponential inter-arrival times, and log-normal service-time jitter
+//! and task sizes.
 //! All of them are implemented here against [`SimRng`], with parameter
 //! validation at construction time.
 
@@ -47,68 +47,6 @@ pub trait Distribution: fmt::Debug {
     /// [`SimDuration`].
     fn sample_duration(&self, rng: &mut SimRng) -> SimDuration {
         SimDuration::from_secs_f64(self.sample(rng))
-    }
-}
-
-/// A degenerate distribution: always returns the same value.
-///
-/// # Example
-/// ```
-/// use wcs_simcore::{SimRng, dist::{Constant, Distribution}};
-/// let d = Constant::new(4.0).expect("non-negative");
-/// assert_eq!(d.sample(&mut SimRng::seed_from(0)), 4.0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Constant(f64);
-
-impl Constant {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    /// Fails if `value` is negative or non-finite.
-    pub fn new(value: f64) -> Result<Self, ParamError> {
-        if !value.is_finite() || value < 0.0 {
-            return Err(ParamError::new("Constant value must be finite and >= 0"));
-        }
-        Ok(Constant(value))
-    }
-}
-
-impl Distribution for Constant {
-    fn sample(&self, _rng: &mut SimRng) -> f64 {
-        self.0
-    }
-    fn mean(&self) -> f64 {
-        self.0
-    }
-}
-
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    /// Fails unless `0 <= lo < hi` and both are finite.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, ParamError> {
-        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo < hi) {
-            return Err(ParamError::new("Uniform requires 0 <= lo < hi"));
-        }
-        Ok(Uniform { lo, hi })
-    }
-}
-
-impl Distribution for Uniform {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        rng.uniform_range(self.lo, self.hi)
-    }
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
     }
 }
 
@@ -191,8 +129,9 @@ impl Distribution for LogNormal {
 /// Zipf distribution over ranks `1..=n` with exponent `s`:
 /// `P(rank = k) ∝ 1 / k^s`.
 ///
-/// Used for search keyword popularity and video popularity (the paper cites
-/// Zipf usage patterns for both `websearch` and `ytube`). Sampling is by
+/// Used for page and extent popularity in the synthetic memory and disk
+/// traces (the paper cites Zipf usage patterns for both `websearch` and
+/// `ytube`). Sampling is by
 /// lower-bound search over the precomputed CDF, accelerated by a guide
 /// table that maps the uniform draw to a narrow CDF bracket: popular head
 /// ranks resolve in a single probe and the tail search touches only one
@@ -324,73 +263,6 @@ impl Distribution for Zipf {
     }
 }
 
-/// An empirical mixture: samples one of a fixed set of values with given
-/// weights (e.g. the LoadSim action mix for `webmail`).
-#[derive(Debug, Clone)]
-pub struct Empirical {
-    values: Vec<f64>,
-    cdf: Vec<f64>,
-    mean: f64,
-}
-
-impl Empirical {
-    /// Creates a mixture from `(value, weight)` pairs.
-    ///
-    /// # Errors
-    /// Fails if the list is empty, any value is negative/non-finite, or any
-    /// weight is non-positive/non-finite.
-    pub fn new(points: &[(f64, f64)]) -> Result<Self, ParamError> {
-        if points.is_empty() {
-            return Err(ParamError::new("Empirical requires at least one point"));
-        }
-        let mut values = Vec::with_capacity(points.len());
-        let mut cdf = Vec::with_capacity(points.len());
-        let mut acc = 0.0;
-        let mut mean = 0.0;
-        for &(v, w) in points {
-            if !v.is_finite() || v < 0.0 {
-                return Err(ParamError::new("Empirical values must be finite and >= 0"));
-            }
-            if !w.is_finite() || w <= 0.0 {
-                return Err(ParamError::new("Empirical weights must be finite and > 0"));
-            }
-            acc += w;
-            values.push(v);
-            cdf.push(acc);
-            mean += v * w;
-        }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Ok(Empirical {
-            values,
-            cdf,
-            mean: mean / total,
-        })
-    }
-
-    /// Draws the index of a mixture component.
-    pub fn sample_index(&self, rng: &mut SimRng) -> usize {
-        let u = rng.uniform();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("finite"))
-        {
-            Ok(i) | Err(i) => i.min(self.values.len() - 1),
-        }
-    }
-}
-
-impl Distribution for Empirical {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.values[self.sample_index(rng)]
-    }
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,27 +270,6 @@ mod tests {
     fn sample_mean(d: &dyn Distribution, seed: u64, n: usize) -> f64 {
         let mut rng = SimRng::seed_from(seed);
         (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn constant_is_constant() {
-        let d = Constant::new(2.5).unwrap();
-        assert_eq!(sample_mean(&d, 0, 10), 2.5);
-        assert!(Constant::new(-1.0).is_err());
-        assert!(Constant::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(2.0, 4.0).unwrap();
-        let mut rng = SimRng::seed_from(3);
-        for _ in 0..1000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&x));
-        }
-        assert!((sample_mean(&d, 5, 20_000) - 3.0).abs() < 0.02);
-        assert!(Uniform::new(4.0, 2.0).is_err());
-        assert!(Uniform::new(-1.0, 2.0).is_err());
     }
 
     #[test]
@@ -495,182 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn empirical_mixture_weights() {
-        let d = Empirical::new(&[(1.0, 3.0), (5.0, 1.0)]).unwrap();
-        assert!((d.mean() - 2.0).abs() < 1e-12);
-        let m = sample_mean(&d, 23, 100_000);
-        assert!((m - 2.0).abs() < 0.05, "mean {m}");
-        assert!(Empirical::new(&[]).is_err());
-        assert!(Empirical::new(&[(1.0, 0.0)]).is_err());
-        assert!(Empirical::new(&[(-1.0, 1.0)]).is_err());
-    }
-
-    #[test]
     fn error_display() {
         let e = Exp::new(-1.0).unwrap_err();
         assert!(e.to_string().contains("Exp mean"));
-    }
-}
-
-/// Weibull distribution, parameterized by shape `k` and scale `lambda` —
-/// the classic fit for disk-service and failure-time data (k < 1 gives
-/// heavy tails, k = 1 reduces to the exponential).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    /// Fails unless both parameters are finite and strictly positive.
-    pub fn new(shape: f64, scale: f64) -> Result<Self, ParamError> {
-        if !(shape.is_finite() && scale.is_finite() && shape > 0.0 && scale > 0.0) {
-            return Err(ParamError::new("Weibull requires shape > 0 and scale > 0"));
-        }
-        Ok(Weibull { shape, scale })
-    }
-}
-
-impl Distribution for Weibull {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        // Inverse CDF: scale * (-ln(1-u))^(1/k).
-        let u = 1.0 - rng.uniform(); // (0, 1]
-        self.scale * (-u.ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        // scale * Gamma(1 + 1/k), via the Lanczos-free Stirling-series
-        // gamma below (adequate for k in the simulation range).
-        self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Gamma function by the Lanczos approximation (g = 7, n = 9), accurate
-/// to ~1e-13 over the positive reals the simulators use.
-fn gamma(x: f64) -> f64 {
-    const G: f64 = 7.0;
-    const C: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = C[0];
-        for (i, &c) in C.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        let t = x + G + 0.5;
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
-    }
-}
-
-/// Geometric distribution over `1, 2, 3, ...` with success probability
-/// `p` (mean `1/p`) — session lengths, retry counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates the distribution.
-    ///
-    /// # Errors
-    /// Fails unless `p` is in `(0, 1]`.
-    pub fn new(p: f64) -> Result<Self, ParamError> {
-        if !(p.is_finite() && p > 0.0 && p <= 1.0) {
-            return Err(ParamError::new("Geometric requires p in (0, 1]"));
-        }
-        Ok(Geometric { p })
-    }
-
-    /// Draws a count in `1..`.
-    pub fn sample_count(&self, rng: &mut SimRng) -> u64 {
-        if self.p >= 1.0 {
-            return 1;
-        }
-        // Inverse CDF over the geometric support: ceil(ln(1-u)/ln(1-p)).
-        let u = rng.uniform();
-        let n = ((1.0 - u).ln() / (1.0 - self.p).ln()).ceil();
-        n.max(1.0) as u64
-    }
-}
-
-impl Distribution for Geometric {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        self.sample_count(rng) as f64
-    }
-    fn mean(&self) -> f64 {
-        1.0 / self.p
-    }
-}
-
-#[cfg(test)]
-mod extra_dist_tests {
-    use super::*;
-
-    fn sample_mean(d: &dyn Distribution, seed: u64, n: usize) -> f64 {
-        let mut rng = SimRng::seed_from(seed);
-        (0..n).map(|_| d.sample(&mut rng)).sum::<f64>() / n as f64
-    }
-
-    #[test]
-    fn weibull_exponential_special_case() {
-        // k = 1 is Exp(scale): mean = scale.
-        let d = Weibull::new(1.0, 0.02).unwrap();
-        assert!((d.mean() - 0.02).abs() < 1e-9);
-        let m = sample_mean(&d, 3, 100_000);
-        assert!((m - 0.02).abs() / 0.02 < 0.03, "mean {m}");
-    }
-
-    #[test]
-    fn weibull_shape_two_mean() {
-        // k = 2: mean = scale * Gamma(1.5) = scale * sqrt(pi)/2.
-        let d = Weibull::new(2.0, 1.0).unwrap();
-        let expect = (std::f64::consts::PI).sqrt() / 2.0;
-        assert!((d.mean() - expect).abs() < 1e-9, "mean {}", d.mean());
-        let m = sample_mean(&d, 5, 100_000);
-        assert!((m - expect).abs() / expect < 0.02, "sampled {m}");
-    }
-
-    #[test]
-    fn weibull_heavy_tail_below_one() {
-        let d = Weibull::new(0.5, 1.0).unwrap();
-        // k = 0.5: mean = Gamma(3) = 2.
-        assert!((d.mean() - 2.0).abs() < 1e-9);
-        assert!(Weibull::new(0.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn gamma_known_values() {
-        assert!((gamma(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma(5.0) - 24.0).abs() < 1e-8);
-        assert!((gamma(0.5) - std::f64::consts::PI.sqrt()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn geometric_mean_and_support() {
-        let d = Geometric::new(0.125).unwrap();
-        assert_eq!(d.mean(), 8.0);
-        let mut rng = SimRng::seed_from(7);
-        for _ in 0..1000 {
-            assert!(d.sample_count(&mut rng) >= 1);
-        }
-        let m = sample_mean(&d, 9, 100_000);
-        assert!((m - 8.0).abs() / 8.0 < 0.03, "mean {m}");
-        assert_eq!(Geometric::new(1.0).unwrap().sample_count(&mut rng), 1);
-        assert!(Geometric::new(0.0).is_err());
-        assert!(Geometric::new(1.5).is_err());
     }
 }

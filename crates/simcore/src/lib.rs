@@ -9,7 +9,7 @@
 //!   breaking,
 //! * [`SimRng`] — a seedable deterministic random-number generator,
 //! * [`dist`] — the distributions the benchmark suite needs (exponential,
-//!   log-normal, Zipf, empirical mixes),
+//!   log-normal, Zipf),
 //! * [`stats`] — online statistics and latency histograms with percentile
 //!   queries.
 //!

@@ -7,6 +7,8 @@
 //! implements the cross-benchmark aggregation the paper uses for its
 //! "HMean" rows.
 
+use std::sync::OnceLock;
+
 use crate::SimDuration;
 
 /// Streaming mean / variance / extrema (Welford's algorithm).
@@ -199,9 +201,18 @@ impl Histogram {
         self.stats.record(x);
     }
 
-    /// Records a duration in seconds.
+    /// Records a duration in seconds: [`record`](Self::record) of
+    /// `d.as_secs_f64()`, with the bucket looked up from the whole
+    /// nanoseconds instead of computed with a logarithm.
     pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
+        let ns = d.as_nanos();
+        if ns == 0 {
+            self.zero_count += 1;
+        } else {
+            self.counts[NanoBuckets::get().bucket_of(ns)] += 1;
+        }
+        self.total += 1;
+        self.stats.record(d.as_secs_f64());
     }
 
     /// Pre-classifies `x` for repeated recording via
@@ -308,6 +319,66 @@ impl Histogram {
         self.total += other.total;
         self.zero_count += other.zero_count;
         self.stats.merge(&other.stats);
+    }
+}
+
+/// [`Histogram::bucket_of`] over whole nanoseconds, by table.
+///
+/// The bucket of `ns` is a monotone function of `ns as f64`, so each
+/// bucket is an interval of it. `first[b]` is the smallest `ns` (as
+/// `f64`) in bucket `b`, and `cells` holds the bucket of the lowest
+/// value of each of 64 cells per binade of `ns as f64`. A cell spans
+/// less than one bucket's 2% width, so a value's bucket is its cell's
+/// or the next one, and one compare against `first` tells which. Both
+/// tables are built once, from `bucket_of` itself.
+struct NanoBuckets {
+    cells: Box<[u16]>,
+    first: Box<[f64]>,
+}
+
+/// `f64` bits of 1.0, shifted down to the cell index (exponent and top
+/// six mantissa bits).
+const CELL_OF_ONE: u64 = 1023 << 6;
+
+impl NanoBuckets {
+    fn get() -> &'static NanoBuckets {
+        static TABLE: OnceLock<NanoBuckets> = OnceLock::new();
+        TABLE.get_or_init(NanoBuckets::build)
+    }
+
+    fn build() -> NanoBuckets {
+        let bucket = |ns: f64| Histogram::bucket_of(ns * 1e-9);
+        let mut first = vec![0.0; NBUCKETS + 1];
+        let mut ns = 1u64;
+        for (b, first) in first.iter_mut().enumerate().take(NBUCKETS).skip(1) {
+            // Start from the geometric estimate and step to the exact
+            // smallest ns whose bucket reaches `b`.
+            ns = ns.max(GROWTH.powi(b as i32) as u64);
+            while ns > 1 && bucket((ns - 1) as f64) >= b {
+                ns -= 1;
+            }
+            while bucket(ns as f64) < b {
+                ns += 1;
+            }
+            *first = ns as f64;
+        }
+        first[NBUCKETS] = f64::INFINITY;
+        // `u64::MAX as f64` is 2^64, the first value of binade 64.
+        let cells = (0..65 * 64)
+            .map(|c| bucket(f64::from_bits((CELL_OF_ONE + c) << 46)) as u16)
+            .collect();
+        NanoBuckets {
+            cells,
+            first: first.into_boxed_slice(),
+        }
+    }
+
+    /// `Histogram::bucket_of(ns as f64 * 1e-9)` for `ns >= 1`.
+    #[inline]
+    fn bucket_of(&self, ns: u64) -> usize {
+        let x = ns as f64;
+        let b = usize::from(self.cells[((x.to_bits() >> 46) - CELL_OF_ONE) as usize]);
+        b + usize::from(x >= self.first[b + 1])
     }
 }
 
@@ -502,6 +573,45 @@ mod tests {
             let x = ns * 1e-9;
             assert_eq!(Histogram::bucket_of(x), reference(x), "{x:e} s");
         });
+    }
+
+    #[test]
+    fn nanosecond_buckets_match_the_logarithm() {
+        let table = NanoBuckets::get();
+        let check = |ns: u64| {
+            let want = Histogram::bucket_of(ns as f64 * 1e-9);
+            assert_eq!(table.bucket_of(ns), want, "{ns} ns");
+        };
+        for &first in &table.first[1..NBUCKETS] {
+            let ns = first as u64;
+            (ns.saturating_sub(2).max(1)..=ns + 2).for_each(check);
+        }
+        (1..3_000_000).for_each(check);
+        [1 << 52, (1 << 53) + 1, 1 << 63, u64::MAX - 1, u64::MAX]
+            .into_iter()
+            .for_each(check);
+        // Seeded values spread evenly over the binades 2^0 .. 2^63.
+        let mut rng = crate::SimRng::seed_from(0xB0C4);
+        for _ in 0..10_000_000 {
+            let binade = rng.index(64) as u32;
+            check((1 << binade) | (rng.next_u64() >> 1 >> (63 - binade)));
+        }
+    }
+
+    #[test]
+    fn duration_recording_is_bit_identical_to_record() {
+        let nanos = [0, 1, 2, 999, 28_000_000, 1_500_000_000, u64::MAX];
+        let mut plain = Histogram::new();
+        let mut timed = Histogram::new();
+        for &ns in &nanos {
+            let d = SimDuration::from_nanos(ns);
+            plain.record(d.as_secs_f64());
+            timed.record_duration(d);
+        }
+        assert_eq!(plain.counts, timed.counts);
+        assert_eq!(plain.zero_count, timed.zero_count);
+        assert_eq!(plain.count(), timed.count());
+        assert_eq!(plain.mean().to_bits(), timed.mean().to_bits());
     }
 
     #[test]

@@ -120,10 +120,17 @@ impl SimDuration {
 /// libm call `f64::round` compiles to on the baseline x86-64 target.
 ///
 /// Below 2^52 both the cast back and `ns - whole` are exact, so the
-/// remainder test is exact; from 2^52 on `ns` is already whole; from
-/// 2^64 on the cast saturates, and so does the increment.
+/// remainder test is exact, and the conversions go through `i64`, each
+/// a single instruction there (the unsigned ones are not); from 2^52 on
+/// `ns` is already whole; from 2^64 on the cast saturates, and so does
+/// the increment.
 #[inline]
 fn round_nanos(ns: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if ns < EXACT {
+        let whole = ns as i64;
+        return (whole + i64::from(ns - whole as f64 >= 0.5)) as u64;
+    }
     let whole = ns as u64;
     whole.saturating_add(u64::from(ns - whole as f64 >= 0.5))
 }

@@ -52,7 +52,10 @@ pub(crate) struct Slot<T> {
     pub work: Work,
     pub next: u32,
     pub server: u32,
-    /// When the request joined its current station's queue.
+    /// When the request joined its current station's queue, set by
+    /// [`Kernel::enqueue`]; only the debug-build Little's-law check
+    /// reads it.
+    #[cfg(debug_assertions)]
     pub enqueued_at: SimTime,
     pub gen: u32,
     pub active: bool,
@@ -164,13 +167,14 @@ impl<A: Adapter> Kernel<A> {
     /// to `server`; [`enqueue`](Self::enqueue) queues it.
     #[inline(always)]
     pub fn alloc(&mut self, server: usize, work: Work, data: A::Slot) -> usize {
-        let (server, enqueued_at) = (server as u32, work.started);
+        let server = server as u32;
         let Some(slot) = self.free.pop() else {
             self.slots.push(Slot {
                 work,
                 next: 0,
                 server,
-                enqueued_at,
+                #[cfg(debug_assertions)]
+                enqueued_at: SimTime::ZERO,
                 gen: 0,
                 active: true,
                 data,
@@ -178,7 +182,7 @@ impl<A: Adapter> Kernel<A> {
             return self.slots.len() - 1;
         };
         let s = &mut self.slots[slot];
-        (s.work, s.next, s.server, s.enqueued_at) = (work, 0, server, enqueued_at);
+        (s.work, s.next, s.server) = (work, 0, server);
         (s.active, s.data) = (true, data);
         slot
     }
@@ -208,7 +212,10 @@ impl<A: Adapter> Kernel<A> {
     #[inline(always)]
     pub fn enqueue(&mut self, slot: usize, now: SimTime) {
         let station = self.station_of(slot);
-        self.slots[slot].enqueued_at = now;
+        #[cfg(debug_assertions)]
+        {
+            self.slots[slot].enqueued_at = now;
+        }
         let st = &mut self.stations[station];
         if A::EAGER && st.busy < st.servers && st.queue.is_empty() {
             self.start(station, slot, now);

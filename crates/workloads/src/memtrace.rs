@@ -15,9 +15,11 @@
 //! slowdown matches the published table at the paper's PCIe latency.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use wcs_simcore::dist::Zipf;
 use wcs_simcore::memo::{MemoHash, MemoKey};
+use wcs_simcore::pool::Task;
 use wcs_simcore::{SimRng, ThreadPool};
 
 use crate::spec::WorkloadId;
@@ -184,20 +186,48 @@ impl MemTraceGen {
 }
 
 /// One draw of the shared access recipe: Zipf rank, rank-scramble, write
-/// coin. Factored out so the sequential generator and the per-chunk
-/// parallel materializer execute the identical sampling code.
+/// coin — what the sequential generator draws per access, and what
+/// [`fill_chunk`] draws when it ranks.
 #[inline]
 fn chunk_access(zipf: &Zipf, rng: &mut SimRng, params: &MemTraceParams) -> PageAccess {
-    let rank = zipf.sample_rank(rng) as u64;
-    // Scramble ranks into page numbers so popular pages are scattered
-    // across the address space (multiplicative hashing, full period
-    // because the multiplier is odd).
-    let page = rank
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(0x2545_F491_4F6C_DD1D)
-        % params.footprint_pages;
+    let page = page_of(zipf.sample_rank(rng), params.footprint_pages);
     let write = rng.chance(params.write_fraction);
     PageAccess { page, write }
+}
+
+/// Scrambles a rank into a page number so popular pages are scattered
+/// across the address space (multiplicative hashing, full period
+/// because the multiplier is odd).
+#[inline]
+fn page_of(rank: usize, footprint_pages: u64) -> u64 {
+    (rank as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(0x2545_F491_4F6C_DD1D)
+        % footprint_pages
+}
+
+/// Draws chunk `chunk` of the `n`-access `(params, seed)` trace from
+/// `SimRng::stream(seed, chunk)` into the chunk's slices of the final
+/// columns. Each access draws its rank uniform and then its write coin,
+/// exactly as [`chunk_access`] does. With `ranks` the uniform is ranked
+/// and the page stored; without, the uniform is drawn and dropped, so
+/// the write bits come out the same in both passes.
+fn fill_chunk(
+    params: &MemTraceParams,
+    seed: u64,
+    n: usize,
+    chunk: usize,
+    mut ranks: Option<(&Zipf, &mut [u32])>,
+    writes: &mut [u64],
+) {
+    let mut rng = SimRng::stream(seed, chunk as u64);
+    for i in 0..(n - chunk * GEN_CHUNK).min(GEN_CHUNK) {
+        let u = rng.uniform();
+        if let Some((zipf, pages)) = &mut ranks {
+            pages[i] = page_of(zipf.rank_of(u), params.footprint_pages) as u32;
+        }
+        writes[i >> 6] |= u64::from(rng.chance(params.write_fraction)) << (i & 63);
+    }
 }
 
 /// A materialized memory trace in compact, shareable form.
@@ -210,12 +240,18 @@ fn chunk_access(zipf: &Zipf, rng: &mut SimRng, params: &MemTraceParams) -> PageA
 /// bitset — so a 4-million-access trace costs ~16.5 MB instead of the
 /// 64 MB a `Vec<PageAccess>` would.
 ///
+/// The page column sits behind its own `Arc`. Every access draws its
+/// rank uniform before its write coin, so two traces whose footprint,
+/// skew, seed and length agree have the same page column whatever
+/// their write fractions; [`with_pages`](Self::with_pages) builds the
+/// second of them over the first one's column.
+///
 /// [`MemTraceBuf::get`] returns exactly what the generator's `i`-th
 /// [`MemTraceGen::next_access`] call returned, so replaying from the
 /// buffer is bit-identical to replaying from the generator.
 #[derive(Debug, Clone)]
 pub struct MemTraceBuf {
-    pages: Box<[u32]>,
+    pages: Arc<Box<[u32]>>,
     writes: Box<[u64]>,
 }
 
@@ -236,7 +272,7 @@ impl MemTraceBuf {
     /// Bit-identical to the sequential path for every pool size: chunk
     /// `i` draws from `SimRng::stream(seed, i)` exactly as the
     /// sequential generator does when it crosses the `i * GEN_CHUNK`
-    /// boundary, and chunks are stitched back together in index order.
+    /// boundary, into its own slice of the final columns.
     ///
     /// # Panics
     /// Panics if the parameters are invalid or the footprint does not
@@ -249,34 +285,58 @@ impl MemTraceBuf {
         );
         let zipf = Zipf::new(params.footprint_pages as usize, params.zipf_s)
             .expect("validated parameters");
-        let chunks: Vec<usize> = (0..n.div_ceil(GEN_CHUNK)).collect();
-        let parts = pool.par_map(&chunks, |_, &chunk| {
-            let start = chunk * GEN_CHUNK;
-            let len = (n - start).min(GEN_CHUNK);
-            let mut rng = SimRng::stream(seed, chunk as u64);
-            let mut pages = Vec::with_capacity(len);
-            // GEN_CHUNK is a multiple of 64, so every chunk owns whole
-            // words of the write bitset and concatenation is exact.
-            let mut writes = vec![0u64; len.div_ceil(64)];
-            for i in 0..len {
-                let a = chunk_access(&zipf, &mut rng, &params);
-                pages.push(a.page as u32);
-                if a.write {
-                    writes[i >> 6] |= 1u64 << (i & 63);
-                }
-            }
-            (pages, writes)
-        });
-        let mut pages = Vec::with_capacity(n);
-        let mut writes = Vec::with_capacity(n.div_ceil(64));
-        for (p, w) in parts {
-            pages.extend_from_slice(&p);
-            writes.extend_from_slice(&w);
-        }
+        let mut pages = vec![0u32; n].into_boxed_slice();
+        let mut writes = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        // GEN_CHUNK is a multiple of 64, so every chunk owns whole words
+        // of the write bitset.
+        let tasks = pages
+            .chunks_mut(GEN_CHUNK)
+            .zip(writes.chunks_mut(GEN_CHUNK / 64))
+            .enumerate()
+            .map(|(chunk, (pages, writes))| -> Task<'_, ()> {
+                let ranks = Some((&zipf, pages));
+                Box::new(move || fill_chunk(&params, seed, n, chunk, ranks, writes))
+            })
+            .collect();
+        pool.par_tasks(tasks);
         MemTraceBuf {
-            pages: pages.into_boxed_slice(),
-            writes: writes.into_boxed_slice(),
+            pages: Arc::new(pages),
+            writes,
         }
+    }
+
+    /// The `(params, seed)` trace over `pages`, the page column of a
+    /// trace with the same footprint, skew and seed: the write-only
+    /// pass. Each access draws its rank uniform without ranking it and
+    /// then its write coin, so no Zipf table is built and the result
+    /// equals [`generate_par`](Self::generate_par)`(params, seed,
+    /// pages.len(), pool)` bit for bit, at every pool size.
+    ///
+    /// # Panics
+    /// Panics if the parameters are invalid.
+    pub fn with_pages(
+        pages: Arc<Box<[u32]>>,
+        params: MemTraceParams,
+        seed: u64,
+        pool: &ThreadPool,
+    ) -> Self {
+        params.validate();
+        let n = pages.len();
+        let mut writes = vec![0u64; n.div_ceil(64)].into_boxed_slice();
+        let tasks = writes
+            .chunks_mut(GEN_CHUNK / 64)
+            .enumerate()
+            .map(|(chunk, writes)| -> Task<'_, ()> {
+                Box::new(move || fill_chunk(&params, seed, n, chunk, None, writes))
+            })
+            .collect();
+        pool.par_tasks(tasks);
+        MemTraceBuf { pages, writes }
+    }
+
+    /// The page column, shared by every trace built over it.
+    pub fn page_column(&self) -> &Arc<Box<[u32]>> {
+        &self.pages
     }
 
     /// Number of accesses stored.
@@ -371,18 +431,71 @@ mod tests {
         }
     }
 
+    /// Asserts two buffers hold the same accesses and write words,
+    /// naming the first access that differs.
+    fn assert_same(a: &MemTraceBuf, b: &MemTraceBuf, what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}: length");
+        if let Some(i) = (0..a.len()).find(|&i| a.get(i) != b.get(i)) {
+            panic!("{what}: access {i}: {:?} vs {:?}", a.get(i), b.get(i));
+        }
+        assert!(a.writes == b.writes, "{what}: write words");
+    }
+
     #[test]
     fn parallel_generation_is_bit_identical_to_sequential() {
         let params = params_for(WorkloadId::Ytube);
-        // Cover: sub-chunk, exact multiple, ragged multi-chunk.
-        for n in [1_000usize, 2 * GEN_CHUNK, 2 * GEN_CHUNK + 777] {
+        // Cover: sub-chunk, exact multiple, ragged multi-chunk, and a
+        // ragged last word of the write bitset.
+        for n in [
+            1_000,
+            2 * GEN_CHUNK,
+            2 * GEN_CHUNK + 777,
+            3 * GEN_CHUNK + 63,
+        ] {
             let seq = MemTraceBuf::generate(params, 31, n);
-            let pool = wcs_simcore::ThreadPool::new(3).unwrap();
-            let par = MemTraceBuf::generate_par(params, 31, n, &pool);
-            assert_eq!(seq.len(), par.len(), "n={n}");
-            for i in 0..n {
-                assert_eq!(seq.get(i), par.get(i), "n={n} access {i}");
+            for threads in [3, 8] {
+                let pool = ThreadPool::new(threads).unwrap();
+                let par = MemTraceBuf::generate_par(params, 31, n, &pool);
+                assert_same(&seq, &par, &format!("n={n} threads={threads}"));
             }
+        }
+    }
+
+    #[test]
+    fn write_only_pass_matches_generation_over_a_shared_column() {
+        let wc = params_for(WorkloadId::MapredWc);
+        let wr = params_for(WorkloadId::MapredWr);
+        for n in [1_000usize, 2 * GEN_CHUNK, 2 * GEN_CHUNK + 777] {
+            let column = MemTraceBuf::generate(wc, 5, n);
+            let want = MemTraceBuf::generate(wr, 5, n);
+            for threads in [1, 3] {
+                let pool = ThreadPool::new(threads).unwrap();
+                let got = MemTraceBuf::with_pages(Arc::clone(column.page_column()), wr, 5, &pool);
+                assert_same(&got, &want, &format!("n={n} threads={threads}"));
+                assert!(Arc::ptr_eq(got.page_column(), column.page_column()));
+            }
+        }
+    }
+
+    #[test]
+    fn write_only_pass_matches_generation_at_every_write_fraction() {
+        let base = MemTraceParams {
+            footprint_pages: 70_000,
+            zipf_s: 0.8,
+            write_fraction: 0.3,
+            accesses_per_cpu_sec: 1.0,
+        };
+        let n = GEN_CHUNK + 100;
+        let column = MemTraceBuf::generate(base, 17, n);
+        let pool = ThreadPool::new(3).unwrap();
+        for write_fraction in [0.0, 0.5, 1.0] {
+            let params = MemTraceParams {
+                write_fraction,
+                ..base
+            };
+            let want = MemTraceBuf::generate(params, 17, n);
+            let got = MemTraceBuf::with_pages(Arc::clone(column.page_column()), params, 17, &pool);
+            assert_same(&got, &want, &format!("write fraction {write_fraction}"));
         }
     }
 
