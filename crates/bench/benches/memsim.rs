@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcs_memshare::policy::PolicyKind;
 use wcs_memshare::twolevel::TwoLevelSim;
-use wcs_workloads::memtrace::{params_for, MemTraceBuf, MemTraceGen};
+use wcs_workloads::memtrace::{params_for, MemTraceBuf};
 use wcs_workloads::WorkloadId;
 
 /// Accesses per replay and per generated trace.
@@ -47,10 +47,11 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 fn bench_trace_generation(c: &mut Criterion) {
+    // The buffer every evaluator replay reads: pages and write bits
+    // filled in place.
     c.bench_function("memtrace_generate_100k", |b| {
         b.iter(|| {
-            let mut gen = MemTraceGen::new(params_for(WorkloadId::Ytube), 11);
-            black_box(gen.take_vec(ACCESSES).len())
+            black_box(MemTraceBuf::generate(params_for(WorkloadId::Ytube), 11, ACCESSES).len())
         })
     });
 }

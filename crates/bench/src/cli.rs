@@ -5,7 +5,8 @@
 //!
 //! * `--threads N` (or `--threads=N`) sizes the worker pool, defaulting
 //!   to the machine's available parallelism.
-//! * `--no-memo` disables the sub-simulation result caches.
+//! * `--no-memo` disables the sub-simulation result caches: every
+//!   replay recomputes, and each trace is built and dropped, uncached.
 //! * `--seed S` overrides the base RNG seed of every evaluation built
 //!   through [`BenchArgs::eval_builder`].
 //! * `--metrics PATH` enables the observability layer and writes a

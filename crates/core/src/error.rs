@@ -3,10 +3,10 @@
 //! The substrate crates each define the error type natural to their
 //! domain: [`ConfigError`] for rejected parameters, [`MeasureError`]
 //! for infeasible QoS points, [`BladeError`] for memory-blade directory
-//! capacity faults, [`TraceError`] for malformed trace files. Callers
-//! of the facade should not have to enumerate them — everything
-//! converts into [`WcsError`] with `?`, so a bench binary or study can
-//! hold its whole pipeline in one `Result<_, WcsError>`.
+//! capacity faults. Callers of the facade should not have to enumerate
+//! them — everything converts into [`WcsError`] with `?`, so a bench
+//! binary or study can hold its whole pipeline in one
+//! `Result<_, WcsError>`.
 
 use std::fmt;
 
@@ -15,7 +15,6 @@ use wcs_simcore::journal::JournalError;
 use wcs_simcore::pool::TaskPanic;
 use wcs_simcore::ConfigError;
 use wcs_workloads::perf::MeasureError;
-use wcs_workloads::tracefile::TraceError;
 
 /// Any error the evaluation pipeline can surface.
 #[derive(Debug)]
@@ -28,8 +27,6 @@ pub enum WcsError {
     Measure(MeasureError),
     /// A memory-blade directory fault.
     Blade(BladeError),
-    /// A malformed or unreadable trace file.
-    Trace(TraceError),
     /// A malformed command line (bench binaries).
     Cli(String),
     /// A sweep cell panicked (twice, after the retry-once policy) and was
@@ -63,7 +60,6 @@ impl fmt::Display for WcsError {
             WcsError::Config(e) => write!(f, "configuration error: {e}"),
             WcsError::Measure(e) => write!(f, "measurement error: {e}"),
             WcsError::Blade(e) => write!(f, "memory blade error: {e}"),
-            WcsError::Trace(e) => write!(f, "trace error: {e}"),
             WcsError::Cli(msg) => write!(f, "command line error: {msg}"),
             WcsError::TaskPanic(e) => write!(f, "task panic isolated: {e}"),
             WcsError::Deadline { cell } => {
@@ -92,7 +88,6 @@ impl std::error::Error for WcsError {
             WcsError::Config(e) => Some(e),
             WcsError::Measure(e) => Some(e),
             WcsError::Blade(e) => Some(e),
-            WcsError::Trace(e) => Some(e),
             WcsError::Cli(_) => None,
             WcsError::TaskPanic(e) => Some(e),
             WcsError::Deadline { .. } => None,
@@ -118,12 +113,6 @@ impl From<MeasureError> for WcsError {
 impl From<BladeError> for WcsError {
     fn from(e: BladeError) -> Self {
         WcsError::Blade(e)
-    }
-}
-
-impl From<TraceError> for WcsError {
-    fn from(e: TraceError) -> Self {
-        WcsError::Trace(e)
     }
 }
 

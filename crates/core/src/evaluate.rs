@@ -214,7 +214,7 @@ impl Evaluator {
     ///
     /// Parallelism is applied across designs first; threads left over
     /// when the pool is wider than the design list are applied *within*
-    /// each design (see [`intra_cell_pool`](Self::intra_cell_pool)).
+    /// each design.
     ///
     /// # Errors
     /// Returns the first (lowest-index) design's [`MeasureError`], exactly
@@ -485,7 +485,8 @@ impl EvalBuilder {
     }
 
     /// Switches sub-simulation memoization on or off. Off reproduces
-    /// the cold path: every replay recomputes from its live generators.
+    /// the cold path: every replay recomputes, and each trace is built
+    /// and dropped, uncached.
     #[must_use]
     pub fn memo(mut self, enabled: bool) -> Self {
         self.memo = enabled;

@@ -6,7 +6,7 @@
 //!
 //! * [`cpu_study`] — Figure 2(c): the six platforms across the suite,
 //! * [`memory_study`] — Figure 4(b): remote-memory slowdowns,
-//! * [`disk_study`] — Table 3(b) (re-exported from `wcs-flashcache`),
+//! * [`run_disk_study`] — Table 3(b) (re-exported from `wcs-flashcache`),
 //! * [`unified_study`] — Figure 5: N1/N2 against a chosen baseline.
 
 use std::collections::BTreeMap;

@@ -192,8 +192,8 @@ impl EvalMemo {
         Self::with_enabled(true)
     }
 
-    /// A disabled memo: every sub-simulation recomputes from its live
-    /// generator, exactly as the unmemoized code path would.
+    /// A disabled memo: every sub-simulation recomputes, and each trace
+    /// is built and dropped, uncached.
     pub fn disabled() -> Self {
         Self::with_enabled(false)
     }

@@ -27,8 +27,8 @@
 //! use wcs_workloads::{disktrace, WorkloadId};
 //!
 //! let mut sys = StorageSystem::with_flash(DiskModel::laptop_remote(), FlashModel::table3());
-//! let mut gen = disktrace::DiskTraceGen::new(disktrace::params_for(WorkloadId::Ytube), 1);
-//! let stats = sys.replay(&mut gen, 50_000);
+//! let params = disktrace::params_for(WorkloadId::Ytube);
+//! let stats = sys.replay_trace(params, &disktrace::materialize(params, 1, 50_000));
 //! assert!(stats.hit_ratio() > 0.0);
 //! ```
 

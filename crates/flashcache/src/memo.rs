@@ -14,7 +14,7 @@ use std::sync::Arc;
 use wcs_platforms::storage::{DiskModel, FlashModel};
 use wcs_simcore::memo::{MemoCache, MemoKey, MemoStats};
 use wcs_simcore::obs::Registry;
-use wcs_workloads::disktrace::{self, BlockAccess, DiskTraceGen, DiskTraceParams};
+use wcs_workloads::disktrace::{self, BlockAccess, DiskTraceParams};
 use wcs_workloads::perf::MeasureConfig;
 use wcs_workloads::service::PlatformDemand;
 use wcs_workloads::WorkloadId;
@@ -37,8 +37,8 @@ impl StorageMemo {
         Self::with_enabled(true)
     }
 
-    /// A disabled memo: every request recomputes from the live
-    /// generator, exactly as the unmemoized code path would.
+    /// A disabled memo: every request recomputes, building its trace
+    /// and dropping it uncached.
     pub fn disabled() -> Self {
         Self::with_enabled(false)
     }
@@ -61,11 +61,6 @@ impl StorageMemo {
     pub fn with_obs(mut self, registry: Registry) -> Self {
         self.obs = registry;
         self
-    }
-
-    /// Whether lookups hit the caches.
-    pub fn is_enabled(&self) -> bool {
-        self.replays.is_enabled()
     }
 
     /// Hit/miss counters merged across all three caches.
@@ -91,10 +86,9 @@ impl StorageMemo {
     /// fresh disk (+ optional flash) system, cached on the full
     /// configuration.
     ///
-    /// When the memo is enabled the trace is materialized once (via
-    /// [`trace`](Self::trace)) and replayed through the slice kernel;
-    /// when disabled the requests stream straight from the generator —
-    /// the two paths are bit-identical.
+    /// The trace comes from [`trace`](Self::trace): materialized once
+    /// and shared when the memo is enabled, built and dropped uncached
+    /// when it is disabled.
     pub fn replay(
         &self,
         disk: &DiskModel,
@@ -114,13 +108,7 @@ impl StorageMemo {
                 Some(f) => StorageSystem::with_flash(disk.clone(), f.clone()),
                 None => StorageSystem::disk_only(disk.clone()),
             };
-            let stats = if self.is_enabled() {
-                let trace = self.trace(params, seed, n as usize);
-                sys.replay_trace(params, &trace)
-            } else {
-                sys.replay(&mut DiskTraceGen::new(params, seed), n)
-            };
-            Arc::new(stats)
+            Arc::new(sys.replay_trace(params, &self.trace(params, seed, n as usize)))
         });
         // Recorded from the returned (cached or recomputed) statistics,
         // so the series is bit-identical across threads and memo modes.

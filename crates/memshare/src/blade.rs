@@ -9,7 +9,7 @@ use wcs_platforms::MemoryTech;
 pub struct BladeModel {
     /// Remote DRAM price relative to the server's local devices: the
     /// blade uses slower devices at the commodity sweet spot, "24%
-    /// cheaper" [DRAMeXchange].
+    /// cheaper" \[DRAMeXchange\].
     pub remote_price_factor: f64,
     /// Per-server share of the blade's PCIe controller cost (x4 lane),
     /// dollars.

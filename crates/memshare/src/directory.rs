@@ -126,8 +126,9 @@ impl BladeDirectory {
     /// # Errors
     /// Fails if the server is already registered or the sum of
     /// allocations would exceed the blade (no overcommit in the paper's
-    /// static scheme; use [`register_overcommitted`]
-    /// (Self::register_overcommitted) for the dynamic scheme).
+    /// static scheme; use
+    /// [`register_overcommitted`](Self::register_overcommitted) for the
+    /// dynamic scheme).
     pub fn register(&mut self, server: ServerId, limit_pages: u64) -> Result<(), BladeError> {
         if self.servers.contains_key(&server) {
             return Err(BladeError::BadRegistration(format!(

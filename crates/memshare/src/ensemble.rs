@@ -3,7 +3,7 @@
 //! link contention — the pieces of Section 3.4 operating together.
 
 use wcs_simcore::{ConfigError, ThreadPool};
-use wcs_workloads::memtrace::{params_for, MemTraceGen};
+use wcs_workloads::memtrace::{params_for, MemTraceBuf};
 use wcs_workloads::WorkloadId;
 
 use crate::contention::SharedLink;
@@ -137,9 +137,9 @@ pub fn run_ensemble_pooled(
             .expect("blade sized for all allocations");
     }
 
-    // Phase 1: replay every server's trace in parallel. Each replay is
-    // private state seeded from (seed, i), so the fan-out cannot change
-    // any miss ratio.
+    // Phase 1: materialize and replay every server's trace in parallel.
+    // Each replay is private state seeded from (seed, i), so the fan-out
+    // cannot change any miss ratio.
     let replays = pool.par_map(configs, |i, c| {
         let params = params_for(c.workload);
         let local_pages = ((BASELINE_2GIB_PAGES as f64) * c.local_fraction) as usize;
@@ -151,12 +151,15 @@ pub fn run_ensemble_pooled(
             seed ^ (i as u64) << 8,
             params.footprint_pages,
         );
-        let mut gen = MemTraceGen::new(params, seed ^ 0xD15C ^ i as u64);
+        let trace = MemTraceBuf::generate(
+            params,
+            seed ^ 0xD15C ^ i as u64,
+            accesses_per_server as usize,
+        );
 
         // Fill, then measure.
         let fill = accesses_per_server / 2;
-        let _ = sim.run(&mut gen, fill);
-        let stats = sim.run(&mut gen, accesses_per_server - fill);
+        let stats = sim.run_steady_buf(&trace, fill, accesses_per_server - fill);
         (stats.miss_ratio(), params.accesses_per_cpu_sec)
     });
 

@@ -26,9 +26,9 @@
 //! use wcs_memshare::{twolevel::TwoLevelSim, policy::PolicyKind, link::RemoteLink};
 //! use wcs_workloads::{memtrace, WorkloadId};
 //!
-//! let mut gen = memtrace::MemTraceGen::new(memtrace::params_for(WorkloadId::Webmail), 1);
+//! let trace = memtrace::MemTraceBuf::generate(memtrace::params_for(WorkloadId::Webmail), 1, 200_000);
 //! let mut sim = TwoLevelSim::new(10_000, PolicyKind::Random, 42);
-//! let stats = sim.run(&mut gen, 200_000);
+//! let stats = sim.run_buf(&trace, 0, 200_000);
 //! assert!(stats.miss_ratio() > 0.0);
 //! let _lat = RemoteLink::pcie_x4().fault_latency_secs();
 //! ```

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use wcs_simcore::memo::{MemoCache, MemoKey, MemoStats};
 use wcs_simcore::obs::Registry;
 use wcs_simcore::{ConfigError, ThreadPool};
-use wcs_workloads::memtrace::{params_for, MemTraceBuf, MemTraceGen, MemTraceParams};
+use wcs_workloads::memtrace::{params_for, MemTraceBuf, MemTraceParams};
 use wcs_workloads::WorkloadId;
 
 use crate::link::RemoteLink;
@@ -119,8 +119,8 @@ impl ReplayMemo {
         Self::with_enabled(true)
     }
 
-    /// A memo in bypass mode: every estimate replays its trace from the
-    /// live generator, exactly like the pre-memoization cold path.
+    /// A memo in bypass mode: every estimate recomputes, building its
+    /// trace and dropping it uncached.
     pub fn disabled() -> Self {
         Self::with_enabled(false)
     }
@@ -143,11 +143,6 @@ impl ReplayMemo {
     pub fn with_obs(mut self, registry: Registry) -> Self {
         self.obs = registry;
         self
-    }
-
-    /// Whether this memo stores results.
-    pub fn is_enabled(&self) -> bool {
-        self.runs.is_enabled()
     }
 
     /// Combined hit/miss counters (trace lookups + replays).
@@ -216,9 +211,9 @@ pub fn estimate_slowdown(
 /// through `memo`.
 ///
 /// Bit-identical to the unmemoized estimate: the replay is keyed by
-/// every input that determines its statistics, the materialized buffer
-/// reproduces the generator exactly, and the link latency — deliberately
-/// *not* part of the key — only rescales the result analytically.
+/// every input that determines its statistics, and the link latency —
+/// deliberately *not* part of the key — only rescales the result
+/// analytically.
 ///
 /// # Errors
 /// Rejects a `local_fraction` outside `(0, 1]`.
@@ -270,16 +265,9 @@ pub fn estimate_slowdown_pooled(
             config.seed,
             params.footprint_pages,
         );
-        if memo.is_enabled() {
-            let total = (config.fill + config.measured) as usize;
-            let buf = memo.trace_par(params, trace_seed, total, pool);
-            sim.run_steady_buf(&buf, config.fill, config.measured)
-        } else {
-            // True cold path: stream straight from the generator, no
-            // materialization.
-            let mut gen = MemTraceGen::new(params, trace_seed);
-            sim.run_steady(&mut gen, config.fill, config.measured)
-        }
+        let total = (config.fill + config.measured) as usize;
+        let buf = memo.trace_par(params, trace_seed, total, pool);
+        sim.run_steady_buf(&buf, config.fill, config.measured)
     });
     let faults_per_cpu_sec = params.accesses_per_cpu_sec * stats.miss_ratio();
     let slowdown = faults_per_cpu_sec * config.link.fault_latency_secs();

@@ -2,13 +2,11 @@
 //!
 //! A replay is one call of the store's kernel
 //! ([`crate::policy::PageStore::touch_pass`]): a loop, monomorphic per
-//! key-index kind and policy, that touches each access and counts misses
-//! and writebacks as it goes. The generator path feeds it accesses as
-//! they are drawn; the shared-buffer path feeds it the materialized
-//! [`MemTraceBuf`] read in place. Both execute the same simulation code
-//! and differ only in where the accesses come from.
+//! key-index kind and policy, that reads a materialized [`MemTraceBuf`]
+//! in place, touches each access and counts misses and writebacks as it
+//! goes.
 
-use wcs_workloads::memtrace::{MemTraceBuf, MemTraceGen};
+use wcs_workloads::memtrace::MemTraceBuf;
 
 use crate::policy::{PageStore, PolicyKind};
 
@@ -33,18 +31,6 @@ impl MissStats {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Component-wise sum — the chunk-merge operation of checkpointed
-    /// replay. All counters are integers, so merging per-chunk results
-    /// in chunk order is exact for every chunk count.
-    #[must_use]
-    pub fn merged(&self, other: &MissStats) -> MissStats {
-        MissStats {
-            accesses: self.accesses + other.accesses,
-            misses: self.misses + other.misses,
-            writebacks: self.writebacks + other.writebacks,
-        }
-    }
 }
 
 /// The two-level (local + remote-blade) memory simulator.
@@ -60,9 +46,9 @@ impl MissStats {
 /// use wcs_memshare::twolevel::TwoLevelSim;
 /// use wcs_memshare::policy::PolicyKind;
 /// use wcs_workloads::{memtrace, WorkloadId};
-/// let mut gen = memtrace::MemTraceGen::new(memtrace::params_for(WorkloadId::Ytube), 3);
+/// let trace = memtrace::MemTraceBuf::generate(memtrace::params_for(WorkloadId::Ytube), 3, 100_000);
 /// let mut sim = TwoLevelSim::new(50_000, PolicyKind::Lru, 9);
-/// let stats = sim.run(&mut gen, 100_000);
+/// let stats = sim.run_buf(&trace, 0, 100_000);
 /// assert!(stats.accesses == 100_000);
 /// ```
 #[derive(Debug)]
@@ -100,30 +86,9 @@ impl TwoLevelSim {
         }
     }
 
-    /// Replays `n` touches from the generator, returning steady-state
-    /// statistics (the fill phase is replayed but not charged).
-    ///
-    /// # Panics
-    /// Panics if a drawn page does not fit `u32` page numbers.
-    pub fn run(&mut self, gen: &mut MemTraceGen, n: u64) -> MissStats {
-        self.local.touch_pass((0..n).map(|_| {
-            let a = gen.next_access();
-            (u32::try_from(a.page).expect("trace pages fit u32"), a.write)
-        }))
-    }
-
     /// Replays accesses `[start, start + n)` of a materialized trace,
-    /// read in place.
-    ///
-    /// Bit-identical to [`run`](Self::run) over the same accesses: the
-    /// buffer stores exactly what the generator would produce, and both
-    /// paths feed the same kernel.
-    ///
-    /// Also the checkpointed chunk primitive: calling `run_buf` over
-    /// any partition of a range, accumulating the returned integer
-    /// counters, yields exactly the totals of one whole-range call —
-    /// the simulator itself carries the cache state from chunk to
-    /// chunk.
+    /// read in place. The simulator carries the cache state from call to
+    /// call, so consecutive ranges replay one stream.
     ///
     /// # Panics
     /// Panics if the range runs past the end of the buffer.
@@ -132,15 +97,9 @@ impl TwoLevelSim {
             .touch_pass(buf.accesses(start..start + n as usize))
     }
 
-    /// Convenience: replay `fill` accesses to warm up, then measure over
-    /// `measured` accesses.
-    pub fn run_steady(&mut self, gen: &mut MemTraceGen, fill: u64, measured: u64) -> MissStats {
-        let _ = self.run(gen, fill);
-        self.run(gen, measured)
-    }
-
-    /// [`run_steady`](Self::run_steady) over a materialized trace, which
-    /// must hold at least `fill + measured` accesses.
+    /// Replays the first `fill` accesses of a materialized trace to warm
+    /// up, then measures over the next `measured`; the trace must hold
+    /// at least `fill + measured` accesses.
     pub fn run_steady_buf(&mut self, buf: &MemTraceBuf, fill: u64, measured: u64) -> MissStats {
         let _ = self.run_buf(buf, 0, fill);
         self.run_buf(buf, fill as usize, measured)
@@ -167,15 +126,26 @@ mod tests {
         }
     }
 
+    /// Warms `sim` on the first `fill` accesses of the `(p, seed)` trace
+    /// and measures the next `measured`.
+    fn steady(
+        sim: &mut TwoLevelSim,
+        p: MemTraceParams,
+        seed: u64,
+        fill: u64,
+        measured: u64,
+    ) -> MissStats {
+        let buf = MemTraceBuf::generate(p, seed, (fill + measured) as usize);
+        sim.run_steady_buf(&buf, fill, measured)
+    }
+
     #[test]
     fn bigger_local_memory_misses_less() {
         let p = small_params();
         let mut small = TwoLevelSim::new(1_000, PolicyKind::Random, 1);
         let mut large = TwoLevelSim::new(5_000, PolicyKind::Random, 1);
-        let mut g1 = MemTraceGen::new(p, 7);
-        let mut g2 = MemTraceGen::new(p, 7);
-        let s = small.run_steady(&mut g1, 50_000, 200_000);
-        let l = large.run_steady(&mut g2, 50_000, 200_000);
+        let s = steady(&mut small, p, 7, 50_000, 200_000);
+        let l = steady(&mut large, p, 7, 50_000, 200_000);
         assert!(
             s.miss_ratio() > l.miss_ratio() * 1.5,
             "{} vs {}",
@@ -192,8 +162,8 @@ mod tests {
         };
         let mut lru = TwoLevelSim::new(2_000, PolicyKind::Lru, 1);
         let mut rnd = TwoLevelSim::new(2_000, PolicyKind::Random, 1);
-        let l = lru.run_steady(&mut MemTraceGen::new(p, 3), 50_000, 200_000);
-        let r = rnd.run_steady(&mut MemTraceGen::new(p, 3), 50_000, 200_000);
+        let l = steady(&mut lru, p, 3, 50_000, 200_000);
+        let r = steady(&mut rnd, p, 3, 50_000, 200_000);
         assert!(
             l.miss_ratio() <= r.miss_ratio() * 1.05,
             "{} vs {}",
@@ -210,8 +180,7 @@ mod tests {
         };
         let run = |kind| {
             let mut sim = TwoLevelSim::new(2_000, kind, 1);
-            sim.run_steady(&mut MemTraceGen::new(p, 5), 50_000, 300_000)
-                .miss_ratio()
+            steady(&mut sim, p, 5, 50_000, 300_000).miss_ratio()
         };
         let (lru, clock, rnd) = (
             run(PolicyKind::Lru),
@@ -228,7 +197,7 @@ mod tests {
     fn writebacks_track_write_fraction() {
         let p = small_params();
         let mut sim = TwoLevelSim::new(1_000, PolicyKind::Random, 1);
-        let stats = sim.run_steady(&mut MemTraceGen::new(p, 11), 50_000, 200_000);
+        let stats = steady(&mut sim, p, 11, 50_000, 200_000);
         assert!(stats.writebacks > 0);
         assert!(stats.writebacks <= stats.misses);
         // Writeback fraction should be near the steady-state dirty
@@ -244,7 +213,7 @@ mod tests {
             ..small_params()
         };
         let mut sim = TwoLevelSim::new(1_000, PolicyKind::Lru, 1);
-        let stats = sim.run_steady(&mut MemTraceGen::new(p, 13), 10_000, 50_000);
+        let stats = steady(&mut sim, p, 13, 10_000, 50_000);
         assert_eq!(stats.misses, 0);
     }
 
@@ -252,23 +221,8 @@ mod tests {
     fn paper_workload_traces_run() {
         for id in WorkloadId::ALL {
             let mut sim = TwoLevelSim::new(131_072, PolicyKind::Random, 2);
-            let stats = sim.run_steady(&mut MemTraceGen::new(params_for(id), 17), 200_000, 200_000);
+            let stats = steady(&mut sim, params_for(id), 17, 200_000, 200_000);
             assert_eq!(stats.accesses, 200_000, "{id}");
-        }
-    }
-
-    #[test]
-    fn buffer_replay_is_bit_identical_to_generator_replay() {
-        let p = small_params();
-        for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
-            let mut from_gen = TwoLevelSim::new(1_500, policy, 21);
-            let gen_stats = from_gen.run_steady(&mut MemTraceGen::new(p, 23), 60_000, 140_000);
-
-            let buf = MemTraceBuf::generate(p, 23, 200_000);
-            let mut from_buf = TwoLevelSim::new(1_500, policy, 21);
-            let buf_stats = from_buf.run_steady_buf(&buf, 60_000, 140_000);
-
-            assert_eq!(gen_stats, buf_stats, "{policy:?}");
         }
     }
 
@@ -312,26 +266,6 @@ mod tests {
                 dense.run_buf(&buf, 0, 150_000),
                 "{policy:?}"
             );
-        }
-    }
-
-    #[test]
-    fn chunked_replay_is_invariant_to_chunk_count() {
-        let p = small_params();
-        let buf = MemTraceBuf::generate(p, 41, 130_000);
-        let mut whole = TwoLevelSim::new(1_500, PolicyKind::Random, 11);
-        let want = whole.run_buf(&buf, 0, 130_000);
-        for chunks in [1usize, 2, 7, 64] {
-            let mut sim = TwoLevelSim::new(1_500, PolicyKind::Random, 11);
-            let per = 130_000usize.div_ceil(chunks);
-            let mut merged = MissStats::default();
-            let mut at = 0usize;
-            while at < 130_000 {
-                let take = (130_000 - at).min(per);
-                merged = merged.merged(&sim.run_buf(&buf, at, take as u64));
-                at += take;
-            }
-            assert_eq!(merged, want, "chunks={chunks}");
         }
     }
 }

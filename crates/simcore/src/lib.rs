@@ -54,7 +54,6 @@ pub mod memo;
 pub mod obs;
 pub mod pool;
 pub mod service;
-pub mod simd;
 pub mod slotcache;
 pub mod stats;
 pub mod table;

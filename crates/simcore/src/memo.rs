@@ -250,7 +250,8 @@ impl MemoStats {
 /// (plain stats structs) or an `Arc` around something big (a shared
 /// trace buffer). A cache constructed with [`MemoCache::disabled`]
 /// computes every lookup and stores nothing — the cold path, reachable
-/// from every bench binary via `--no-memo`.
+/// from every bench binary via `--no-memo`, where each trace is built
+/// and dropped, uncached.
 pub struct MemoCache<V> {
     shards: Vec<Mutex<HashMap<u128, V>>>,
     enabled: bool,

@@ -1,11 +1,12 @@
 //! Deterministic parallel execution of independent simulation tasks.
 //!
 //! Every study in this workspace fans out over *independent* design
-//! points, scenarios, or servers: each task seeds its own [`SimRng`]
-//! stream (see [`SimRng::stream`]) and shares no mutable state with its
-//! siblings. That independence makes parallelism trivial to get right —
-//! as long as the executor never lets scheduling order leak into
-//! results. [`ThreadPool::par_map`] guarantees exactly that: results come
+//! points, scenarios, or servers: each task seeds its own
+//! [`SimRng`](crate::SimRng) stream (see
+//! [`SimRng::stream`](crate::SimRng::stream)) and shares no mutable
+//! state with its siblings. That independence makes parallelism trivial
+//! to get right — as long as the executor never lets scheduling order
+//! leak into results. [`ThreadPool::par_map`] guarantees exactly that: results come
 //! back in **input order**, each task sees only its own index and input,
 //! and therefore the output is bit-identical at any thread count,
 //! including one.

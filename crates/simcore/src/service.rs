@@ -384,7 +384,10 @@ const REQUEST_WAIT: std::time::Duration = std::time::Duration::from_secs(2);
 /// Answer one HTTP request on `stream`. Only a request that arrived is
 /// answered: on EOF, or when nothing arrives within [`REQUEST_WAIT`],
 /// the connection closes without a response, so a slow client never
-/// writes into a socket that already answered and closed.
+/// writes into a socket that already answered and closed. A request
+/// may arrive in several segments, so it is read up to the end of its
+/// head (or 1 KiB) before the answer: closing with request bytes unread
+/// resets the connection under the response.
 fn serve_one(
     mut stream: TcpStream,
     progress: &ServiceProgress,
@@ -393,7 +396,14 @@ fn serve_one(
     stream.set_read_timeout(Some(REQUEST_WAIT))?;
     stream.set_nonblocking(false)?;
     let mut buf = [0u8; 1024];
-    let n = stream.read(&mut buf)?;
+    let mut n = 0;
+    while n < buf.len() && !buf[..n].windows(4).any(|w| w == b"\r\n\r\n") {
+        let got = stream.read(&mut buf[n..])?;
+        if got == 0 {
+            break;
+        }
+        n += got;
+    }
     if n == 0 {
         return Ok(());
     }
@@ -582,6 +592,27 @@ mod tests {
         );
         let missing = get("/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn status_server_reads_a_request_split_across_segments() {
+        let progress = ServiceProgress::new();
+        progress.cells_done.store(7, Ordering::Relaxed);
+        let server = StatusServer::start(0, Arc::clone(&progress), Registry::new())
+            .expect("bind ephemeral port");
+        let mut s = TcpStream::connect(server.addr()).expect("connect");
+        s.set_nodelay(true).expect("disable Nagle");
+        s.write_all(b"GET /sta").expect("send the first piece");
+        // The pause lets the server read the first piece alone; the
+        // answer must still be for the whole path.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        s.write_all(b"tus HTTP/1.1\r\nHost: x\r\n\r\n")
+            .expect("send the rest");
+        let mut status = String::new();
+        s.read_to_string(&mut status).expect("read");
+        assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+        assert!(status.contains("\"cells_done\": 7"), "{status}");
         server.shutdown();
     }
 

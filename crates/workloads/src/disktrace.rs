@@ -169,11 +169,6 @@ impl DiskTraceGen {
             write: self.rng.chance(self.params.write_fraction),
         }
     }
-
-    /// Generates `n` requests as a vector.
-    pub fn take_vec(&mut self, n: usize) -> Vec<BlockAccess> {
-        (0..n).map(|_| self.next_access()).collect()
-    }
 }
 
 /// Materializes the first `n` requests of the `(params, seed)` stream
@@ -183,13 +178,15 @@ impl DiskTraceGen {
 /// configurations; a materialized trace is generated once and shared
 /// across those points (disk traces are short — 120k requests is ~2 MB —
 /// so plain structs need no packing). Element `i` equals the generator's
-/// `i`-th [`DiskTraceGen::next_access`], so buffer replay is
-/// bit-identical to generator replay.
+/// `i`-th [`DiskTraceGen::next_access`]. The requests are collected
+/// straight into the shared buffer: the iterator's exact length lets it
+/// allocate once, with no intermediate `Vec` to copy.
 ///
 /// # Panics
 /// Panics if the parameters are invalid.
 pub fn materialize(params: DiskTraceParams, seed: u64, n: usize) -> Arc<[BlockAccess]> {
-    DiskTraceGen::new(params, seed).take_vec(n).into()
+    let mut gen = DiskTraceGen::new(params, seed);
+    (0..n).map(|_| gen.next_access()).collect()
 }
 
 #[cfg(test)]
@@ -226,8 +223,7 @@ mod tests {
 
     #[test]
     fn popular_extents_repeat_for_ytube() {
-        let mut g = DiskTraceGen::new(params_for(WorkloadId::Ytube), 7);
-        let trace = g.take_vec(30_000);
+        let trace = materialize(params_for(WorkloadId::Ytube), 7, 30_000);
         let distinct: std::collections::HashSet<u64> = trace.iter().map(|a| a.block).collect();
         assert!(distinct.len() < trace.len() * 9 / 10);
     }

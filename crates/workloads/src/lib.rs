@@ -65,7 +65,6 @@ pub mod scenario;
 pub mod service;
 mod spec;
 pub mod suite;
-pub mod tracefile;
 
 pub use registry::WorkloadKey;
 pub use scenario::{ScenarioSpec, TrafficPack};

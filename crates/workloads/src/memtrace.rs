@@ -178,11 +178,6 @@ impl MemTraceGen {
         self.pos += 1;
         chunk_access(&self.zipf, &mut self.rng, &self.params)
     }
-
-    /// Generates `n` accesses as a vector.
-    pub fn take_vec(&mut self, n: usize) -> Vec<PageAccess> {
-        (0..n).map(|_| self.next_access()).collect()
-    }
 }
 
 /// One draw of the shared access recipe: Zipf rank, rank-scramble, write
@@ -407,9 +402,9 @@ mod tests {
     #[test]
     fn popular_pages_repeat() {
         // With Zipf skew, a short trace must contain repeated pages.
-        let mut g = MemTraceGen::new(params_for(WorkloadId::Webmail), 13);
-        let trace = g.take_vec(50_000);
-        let distinct: std::collections::HashSet<u64> = trace.iter().map(|a| a.page).collect();
+        let trace = MemTraceBuf::generate(params_for(WorkloadId::Webmail), 13, 50_000);
+        let distinct: std::collections::HashSet<u64> =
+            (0..trace.len()).map(|i| trace.get(i).page).collect();
         assert!(distinct.len() < trace.len());
     }
 

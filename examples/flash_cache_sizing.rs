@@ -6,14 +6,14 @@
 
 use wcs::flashcache::system::StorageSystem;
 use wcs::platforms::storage::{DiskModel, FlashModel};
-use wcs::workloads::disktrace::{params_for, DiskTraceGen};
+use wcs::workloads::disktrace::{materialize, params_for};
 use wcs::workloads::WorkloadId;
 
-const REPLAY: u64 = 80_000;
+const REPLAY: usize = 80_000;
 
 fn mean_ms(sys: &mut StorageSystem, id: WorkloadId) -> (f64, f64) {
-    let mut gen = DiskTraceGen::new(params_for(id), 0xF1A5);
-    let stats = sys.replay(&mut gen, REPLAY);
+    let params = params_for(id);
+    let stats = sys.replay_trace(params, &materialize(params, 0xF1A5, REPLAY));
     (stats.mean_service_secs() * 1e3, stats.hit_ratio())
 }
 
