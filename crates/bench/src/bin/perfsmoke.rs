@@ -35,9 +35,7 @@ use wcs_simcore::faults::FaultProcess;
 use wcs_simcore::journal::fnv1a64;
 use wcs_simcore::obs::Registry;
 use wcs_simcore::{EventQueue, SimDuration, SimRng, SimTime, ThreadPool};
-use wcs_simserver::{
-    Cluster, ClusterFaults, ResilienceConfig, Resource, RetryPolicy, ServerSpec, Stage,
-};
+use wcs_simserver::{Cluster, ClusterFaults, Resource, RetryPolicy, ServerSpec, Stage};
 use wcs_workloads::disktrace;
 use wcs_workloads::memtrace::{params_for as mem_params, MemTraceBuf};
 use wcs_workloads::perf::MeasureConfig;
@@ -50,10 +48,12 @@ fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 }
 
 /// The metric series folded into `BENCH_results.json`: at least one per
-/// standard family, recorded by the memoized sweep bundle, the
-/// obs-overhead study runs, and the resilience-overhead stage. Exact-class series are deterministic across
-/// `--threads` and memo settings; the `memo.*` hit/miss counters are
-/// wall-class profiling data.
+/// standard family, recorded by the memoized sweep bundle and the
+/// obs-overhead study runs (a family no stage records, such as
+/// `resilience.*`, folds the zero `cli::ensure_standard_series`
+/// registers). Exact-class series are deterministic across `--threads`
+/// and memo settings; the `memo.*` hit/miss counters are wall-class
+/// profiling data.
 const FOLDED_SERIES: [&str; 28] = [
     "queue.scheduled",
     "queue.fast_path",
@@ -330,97 +330,6 @@ fn main() {
     let obs_delta_ms = obs_on_ms - obs_off_ms;
     let obs_overhead_pct = obs_delta_ms / obs_off_ms * 100.0;
 
-    // Resilience overhead: the fail-free cluster run with the layer
-    // enabled but idle (admission sized far above offered load, no
-    // faults to trip breakers or spend retries) against the plain
-    // faulted path, interleaved. Each side keeps its *minimum* over
-    // seven runs — the min is the run least perturbed by scheduler
-    // noise, which at tens-of-milliseconds scale would otherwise
-    // swamp a sub-2% comparison. The enabled-but-idle layer must be
-    // behaviorally inert — identical completions and latency — and
-    // cost < 2% wall clock (`within_gate` in the JSON).
-    const RES_RUNS: usize = 7;
-    const RES_MEASURED: u64 = 200_000;
-    let fail_free = ClusterFaults::fail_free();
-    let no_retry = RetryPolicy::none();
-    let idle_config = ResilienceConfig::standard(50_000.0);
-    let base_stats = cluster
-        .run_closed_loop_faulted(
-            &mut source,
-            64,
-            2_000,
-            RES_MEASURED,
-            17,
-            &fail_free,
-            &no_retry,
-        )
-        .expect("valid run parameters");
-    let (idle_stats, idle_res) = cluster
-        .run_closed_loop_resilient(
-            &mut source,
-            64,
-            2_000,
-            RES_MEASURED,
-            17,
-            &fail_free,
-            &no_retry,
-            &idle_config,
-        )
-        .expect("valid run parameters");
-    assert_eq!(
-        base_stats.completed, idle_stats.completed,
-        "idle resilience changed completions"
-    );
-    assert_eq!(
-        base_stats.latency.mean().to_bits(),
-        idle_stats.latency.mean().to_bits(),
-        "idle resilience changed latency"
-    );
-    assert_eq!(idle_res.breaker_trips, 0, "fail-free run tripped a breaker");
-    assert_eq!(idle_res.shed(), 0, "idle admission shed work");
-    metrics_reg
-        .counter("resilience.requests")
-        .add(idle_res.offered);
-    let mut res_base_runs = Vec::with_capacity(RES_RUNS);
-    let mut res_idle_runs = Vec::with_capacity(RES_RUNS);
-    for _ in 0..RES_RUNS {
-        let (_, ms) = timed(|| {
-            cluster
-                .run_closed_loop_faulted(
-                    &mut source,
-                    64,
-                    2_000,
-                    RES_MEASURED,
-                    17,
-                    &fail_free,
-                    &no_retry,
-                )
-                .expect("valid run parameters")
-        });
-        res_base_runs.push(ms);
-        let (_, ms) = timed(|| {
-            cluster
-                .run_closed_loop_resilient(
-                    &mut source,
-                    64,
-                    2_000,
-                    RES_MEASURED,
-                    17,
-                    &fail_free,
-                    &no_retry,
-                    &idle_config,
-                )
-                .expect("valid run parameters")
-        });
-        res_idle_runs.push(ms);
-    }
-    let minimum = |xs: Vec<f64>| -> f64 { xs.into_iter().fold(f64::INFINITY, f64::min) };
-    let res_base_ms = minimum(res_base_runs);
-    let res_idle_ms = minimum(res_idle_runs);
-    let res_delta_ms = res_idle_ms - res_base_ms;
-    let res_overhead_pct = res_delta_ms / res_base_ms * 100.0;
-    let res_within_gate = res_overhead_pct < 2.0;
-
     // Memoization check: the full sweep bundle, cold (memo disabled),
     // then twice on one memoized evaluator (filling, then warm). All
     // three renders must be byte-identical — a divergence fails the run
@@ -522,13 +431,6 @@ fn main() {
          \"enabled_ms\": {obs_on_ms:.3}, \"delta_ms\": {obs_delta_ms:.3}, \
          \"overhead_pct\": {obs_overhead_pct:.3}}},"
     );
-    let _ = writeln!(
-        json,
-        "  \"resilience\": {{\"runs\": {RES_RUNS}, \"baseline_ms\": {res_base_ms:.3}, \
-         \"idle_ms\": {res_idle_ms:.3}, \"delta_ms\": {res_delta_ms:.3}, \
-         \"overhead_pct\": {res_overhead_pct:.3}, \"idle_identical\": true, \
-         \"within_gate\": {res_within_gate}}},"
-    );
     json.push_str("  \"metrics\": {\n");
     for (i, name) in FOLDED_SERIES.iter().enumerate() {
         let comma = if i + 1 < FOLDED_SERIES.len() { "," } else { "" };
@@ -597,12 +499,6 @@ fn main() {
     println!(
         "  obs overhead (median of {OBS_RUNS}): disabled {obs_off_ms:.1} ms, \
          enabled {obs_on_ms:.1} ms ({obs_delta_ms:+.2} ms, {obs_overhead_pct:+.2}%)"
-    );
-    println!(
-        "  resilience idle overhead (min of {RES_RUNS}): baseline {res_base_ms:.1} ms, \
-         enabled-idle {res_idle_ms:.1} ms ({res_delta_ms:+.2} ms, {res_overhead_pct:+.2}%, \
-         gate<2% {})",
-        if res_within_gate { "pass" } else { "FAIL" }
     );
     println!(
         "  memo sweep: cold {sweep_cold_ms:.1} ms, warm {sweep_warm_ms:.1} ms \

@@ -250,7 +250,7 @@ fn sweeps_resume_round_trip_is_identical() {
 #[test]
 fn bins_reject_bad_resume_journals() {
     // A file that is not a journal must be a clean, explained exit —
-    // not a panic (satellite: no raw unwraps on the build path).
+    // not a panic (no raw unwraps on the build path).
     let path = std::env::temp_dir().join(format!("wcs-notajournal-{}", std::process::id()));
     std::fs::write(&path, b"definitely not a journal").expect("temp file writes");
     let out = Command::new(env!("CARGO_BIN_EXE_sweeps"))

@@ -20,9 +20,9 @@ use wcs_tco::{
     RealEstateParams, TcoModel, TcoReport,
 };
 use wcs_workloads::disktrace::params_for as disk_params;
-use wcs_workloads::perf::{measure_perf_with_demand, MeasureConfig, MeasureError};
+use wcs_workloads::perf::{MeasureConfig, MeasureError};
 use wcs_workloads::service::PlatformDemand;
-use wcs_workloads::{suite, WorkloadId};
+use wcs_workloads::{suite, Workload, WorkloadId};
 
 use wcs_simcore::event::QueueObs;
 
@@ -165,7 +165,8 @@ impl Evaluator {
                 });
             }
             let _span = self.obs.timer("pool.task_wall_ns").start();
-            self.workload_perf(design, &platform, id)
+            self.workload_perf(design, &platform, &suite::workload(id), id)
+                .map(|(sample, _)| sample)
                 .map_err(WcsError::from)
         })?;
         // Exact-class series are recorded only after the whole fan-out
@@ -304,7 +305,7 @@ impl Evaluator {
         &self,
         design: &DesignPoint,
         platform: &Platform,
-        wl: &wcs_workloads::Workload,
+        wl: &Workload,
         trace_id: WorkloadId,
     ) -> PlatformDemand {
         let disk = design
@@ -350,21 +351,21 @@ impl Evaluator {
         demand
     }
 
-    /// Performance of one paper workload on the design.
+    /// Performance of one paper workload on the design, through the
+    /// `eval-perf` memo lane, with the demand it was measured under. A
+    /// steady paper scenario takes this same path.
     pub(crate) fn workload_perf(
         &self,
         design: &DesignPoint,
         platform: &Platform,
+        wl: &Workload,
         id: WorkloadId,
-    ) -> Result<PerfSample, MeasureError> {
-        let wl = suite::workload(id);
-        let demand = self.demand_for(design, platform, &wl, id);
-        self.memo.perf(id, &demand, &self.measure, || {
-            measure_perf_with_demand(&wl, &demand, &self.measure).map(|r| PerfSample {
-                value: r.value,
-                queue: r.queue,
-            })
-        })
+    ) -> Result<(PerfSample, PlatformDemand), MeasureError> {
+        let demand = self.demand_for(design, platform, wl, id);
+        let sample = self.memo.perf(id, &demand, &self.measure, || {
+            PerfSample::measure(wl, &demand, &self.measure)
+        })?;
+        Ok((sample, demand))
     }
 }
 
@@ -521,8 +522,8 @@ impl EvalBuilder {
     }
 
     /// Enables the overload-resilience layer for scenario traffic runs:
-    /// admission control, a global retry budget, per-backend circuit
-    /// breakers, and an optional chaos plan whose fault waves co-vary
+    /// admission control, a global retry budget, a circuit breaker,
+    /// and an optional chaos plan whose fault waves co-vary
     /// with the traffic pack. Leaving this unset (the default) keeps
     /// every scenario render byte-identical to an evaluator that never
     /// heard of resilience.

@@ -22,9 +22,9 @@ use wcs_simcore::intern::intern;
 use wcs_simcore::journal::{fnv1a64, JournalRecord, JournalWriter};
 use wcs_simcore::memo::{MemoCache, MemoKey, MemoStats};
 use wcs_simcore::obs::Registry;
-use wcs_workloads::perf::{MeasureConfig, MeasureError};
+use wcs_workloads::perf::{measure_perf_with_demand, MeasureConfig, MeasureError};
 use wcs_workloads::service::PlatformDemand;
-use wcs_workloads::WorkloadId;
+use wcs_workloads::{Workload, WorkloadId};
 
 /// A cached performance measurement: the metric value plus the
 /// event-queue occupancy its probe runs accumulated. Caching the queue
@@ -37,6 +37,21 @@ pub struct PerfSample {
     pub value: f64,
     /// Event-queue occupancy summed over the measurement's probe runs.
     pub queue: QueueObs,
+}
+
+impl PerfSample {
+    /// Measures `workload` under `demand`: the sample every perf memo
+    /// lane caches.
+    pub(crate) fn measure(
+        workload: &Workload,
+        demand: &PlatformDemand,
+        cfg: &MeasureConfig,
+    ) -> Result<Self, MeasureError> {
+        measure_perf_with_demand(workload, demand, cfg).map(|r| PerfSample {
+            value: r.value,
+            queue: r.queue,
+        })
+    }
 }
 
 /// Encode a perf measurement into its journal payload (little-endian).

@@ -30,10 +30,10 @@ use wcs_simcore::memo::MemoKey;
 use wcs_simcore::{ConfigError, SimDuration, SimRng};
 use wcs_simserver::{
     run_open_loop_profiled, run_open_loop_resilient, AdmissionConfig, BreakerConfig, QosSpec,
-    RateProfile, ResilienceConfig, RetryBudgetConfig, RetryPolicy,
+    RateProfile, ResilienceConfig, RetryBudgetConfig, RetryPolicy, RunStats,
 };
 use wcs_tco::{AvailabilityModel, AvailableEfficiency, Efficiency, TcoReport};
-use wcs_workloads::perf::{measure_perf_with_demand, MeasureConfig};
+use wcs_workloads::perf::MeasureConfig;
 use wcs_workloads::registry::{self, Family};
 use wcs_workloads::service::PlatformDemand;
 use wcs_workloads::{dag, faas, Metric, ScenarioSpec, TrafficPack, WorkloadId};
@@ -88,6 +88,30 @@ pub struct TrafficEval {
 }
 
 impl TrafficEval {
+    /// What an open-loop run of `profile` at `capacity_rps` measured.
+    fn from_run(
+        pack: &'static str,
+        capacity_rps: f64,
+        profile: &RateProfile,
+        qos: Option<QosSpec>,
+        stats: &RunStats,
+    ) -> Self {
+        let percentile = |p: f64| stats.latency.percentile(p).unwrap_or(0.0);
+        TrafficEval {
+            pack,
+            offered_peak_rps: capacity_rps * profile.peak(),
+            offered_mean_rps: capacity_rps * profile.mean(),
+            completed: stats.completed,
+            throughput_rps: stats.throughput_rps(),
+            mean_latency_secs: stats.latency.mean(),
+            p50_latency_secs: percentile(50.0),
+            p95_latency_secs: percentile(95.0),
+            p99_latency_secs: percentile(99.0),
+            qos_attainment: qos.map(|q| stats.latency.fraction_at_or_below(q.bound.as_secs_f64())),
+            peak_utilization: stats.utilization.iter().copied().fold(0.0, f64::max),
+        }
+    }
+
     /// Requests that missed the QoS bound (zero for batch metrics).
     pub fn qos_violations(&self) -> u64 {
         match self.qos_attainment {
@@ -439,18 +463,12 @@ impl Evaluator {
         let wl = &entry.workload;
 
         let (sample, family, demand) = match &entry.family {
-            // The paper path replicates `workload_perf` exactly — same
-            // demand pipeline, same "eval-perf" memo lane and key — so a
-            // steady paper scenario cannot differ from the closed API by
-            // a single bit (and shares its cache entries).
+            // The paper path is `workload_perf` itself — same demand
+            // pipeline, same "eval-perf" memo lane and key — so a steady
+            // paper scenario cannot differ from the closed API by a
+            // single bit (and shares its cache entries).
             Family::Paper(id) => {
-                let demand = self.demand_for(design, &platform, wl, *id);
-                let s = self.memo.perf(*id, &demand, &self.measure, || {
-                    measure_perf_with_demand(wl, &demand, &self.measure).map(|r| PerfSample {
-                        value: r.value,
-                        queue: r.queue,
-                    })
-                })?;
+                let (s, demand) = self.workload_perf(design, &platform, wl, *id)?;
                 (s, FamilyEval::Paper { workload: *id }, demand)
             }
             Family::Faas(params) => {
@@ -472,12 +490,9 @@ impl Evaluator {
                     .push(&demand)
                     .push(&self.measure)
                     .finish();
-                let s = self.memo.scenario_perf(key, || {
-                    measure_perf_with_demand(wl, &demand, &self.measure).map(|r| PerfSample {
-                        value: r.value,
-                        queue: r.queue,
-                    })
-                })?;
+                let s = self
+                    .memo
+                    .scenario_perf(key, || PerfSample::measure(wl, &demand, &self.measure))?;
                 let family = FamilyEval::Faas {
                     pool_gib,
                     resident_functions: pool.resident_functions,
@@ -716,21 +731,8 @@ fn run_traffic(
         cfg.measured,
         cfg.seed ^ 0x007A_FF1C,
     );
-    let percentile = |p: f64| stats.latency.percentile(p).unwrap_or(0.0);
     TrafficSample {
-        eval: TrafficEval {
-            pack,
-            offered_peak_rps: capacity_rps * profile.peak(),
-            offered_mean_rps: capacity_rps * profile.mean(),
-            completed: stats.completed,
-            throughput_rps: stats.throughput_rps(),
-            mean_latency_secs: stats.latency.mean(),
-            p50_latency_secs: percentile(50.0),
-            p95_latency_secs: percentile(95.0),
-            p99_latency_secs: percentile(99.0),
-            qos_attainment: qos.map(|q| stats.latency.fraction_at_or_below(q.bound.as_secs_f64())),
-            peak_utilization: stats.utilization.iter().copied().fold(0.0, f64::max),
-        },
+        eval: TrafficEval::from_run(pack, capacity_rps, profile, qos, &stats),
         queue: stats.queue,
     }
 }
@@ -795,8 +797,7 @@ fn run_resilient_traffic(
         &config,
     );
 
-    let percentile = |p: f64| stats.latency.percentile(p).unwrap_or(0.0);
-    let p99 = percentile(99.0);
+    let p99 = stats.latency.percentile(99.0).unwrap_or(0.0);
     // Batch metrics carry no per-request bound; score against 10x the
     // unloaded latency so degraded-mode tails still register.
     let slo_secs = qos.map_or_else(
@@ -824,19 +825,7 @@ fn run_resilient_traffic(
         chaos_down_fraction: 1.0 - faults::availability(&outages, span),
     };
     let traffic = TrafficSample {
-        eval: TrafficEval {
-            pack,
-            offered_peak_rps: capacity_rps * profile.peak(),
-            offered_mean_rps: capacity_rps * profile.mean(),
-            completed: stats.completed,
-            throughput_rps: stats.throughput_rps(),
-            mean_latency_secs: stats.latency.mean(),
-            p50_latency_secs: percentile(50.0),
-            p95_latency_secs: percentile(95.0),
-            p99_latency_secs: percentile(99.0),
-            qos_attainment: qos.map(|q| stats.latency.fraction_at_or_below(q.bound.as_secs_f64())),
-            peak_utilization: stats.utilization.iter().copied().fold(0.0, f64::max),
-        },
+        eval: TrafficEval::from_run(pack, capacity_rps, profile, qos, &stats),
         queue: stats.queue,
     };
     ResilientSample { traffic, eval }

@@ -28,12 +28,15 @@ impl<E> Scheduled<E> {
 /// reschedule): the heap wins clearly below depth 8 (31M vs 25M events/s
 /// at 8), the wheel wins clearly from 16 up (29M vs 23M at 16, 35M vs
 /// 15M at 64) and its cost stays flat with depth, and the band in
-/// between is a tie within noise (27M vs 26M at 11). Real studies peak
-/// at depth ~11, so the threshold sits at the bottom of the tie band:
-/// deep enough to keep short chains on the small-n-optimal heap, shallow
-/// enough that real study workloads actually ride the wheel (perfsmoke
-/// asserts `queue.calendar_hits > 0` on a study, not just on synthetic
-/// benches).
+/// between is a tie within noise (27M vs 26M at 11). The threshold sits
+/// at the bottom of the tie band, which keeps short chains on the
+/// small-n-optimal heap. Traced perfbench runs at `--seed 3 --seconds 2`
+/// show how little of the real traffic reaches it: `max_depth` 11, 5 and
+/// 83, and a calendar share of the scheduled events of 7.7e-5, 0 and
+/// 0.094, on platform-grid, design-sweep and traffic-what-if. Only the
+/// open loop's queues under traffic packs ride the wheel for long
+/// (perfsmoke asserts `queue.calendar_hits > 0` on its sweep bundle, so
+/// the routing cannot go dead unnoticed).
 pub const AUTO_WHEEL_MIN_DEPTH: usize = 10;
 
 const WHEEL_BITS: u32 = 6;

@@ -16,7 +16,11 @@
 //! dispatcher fails over around dead servers, and a [`RetryPolicy`]
 //! governs per-request timeouts and bounded, backed-off retries. With a
 //! fail-free plan and a no-op policy the fault-aware path reproduces the
-//! plain run bit for bit.
+//! plain run bit for bit. The overload defenses (admission, a retry
+//! budget, a breaker) are not here: closed-loop clients self-limit, so
+//! those live in the open loop
+//! ([`run_open_loop_resilient`](crate::run_open_loop_resilient)), where
+//! arrivals do not wait.
 //!
 //! The closed loop defined here is the one closed loop of the crate:
 //! [`ServerSim`](crate::ServerSim) runs it as a lone server with no
@@ -30,7 +34,6 @@ use crate::engine::{RunStats, ServerSpec};
 use crate::failover::{ClusterFaults, RetryPolicy};
 use crate::kernel::{Adapter, Ev, Kernel, Work};
 use crate::request::{RequestSource, Stage};
-use crate::resilience::{CircuitBreaker, ResilienceConfig, ResilienceStats, RetryBudget};
 
 /// Dispatch policy of the front-end load balancer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,8 +81,8 @@ pub(crate) struct Attempt {
 
 /// Closed-loop clients, each keeping one request in flight, behind a
 /// dispatcher over one or more servers — with failover, timeouts,
-/// retries, parking and breakers. [`ServerSim`] and [`Cluster`] are
-/// both this loop.
+/// retries and parking. [`ServerSim`] and [`Cluster`] are both this
+/// loop.
 ///
 /// [`ServerSim`]: crate::ServerSim
 pub(crate) struct ClosedLoop<'a> {
@@ -92,15 +95,6 @@ pub(crate) struct ClosedLoop<'a> {
     /// Per-request demand inflation; `None` leaves services untouched.
     inflation: Option<f64>,
     retry: RetryPolicy,
-    budget: Option<RetryBudget>,
-    breakers: Option<Vec<CircuitBreaker>>,
-    /// All-closed fast path: until the first recorded failure every
-    /// breaker is Closed, so `admits` is vacuously true and
-    /// `note_dispatch` a no-op — dispatch reads `up` directly and skips
-    /// the per-request eligibility scan.
-    breakers_touched: bool,
-    /// Eligibility scratch, reused once a breaker has been touched.
-    elig_buf: Vec<bool>,
     in_flight: Vec<u32>,
     up: Vec<bool>,
     /// Work waiting while every server is down.
@@ -111,12 +105,11 @@ pub(crate) struct ClosedLoop<'a> {
     /// termination target so a run where faults starve completions
     /// still ends instead of generating retry work forever.
     dropped_total: u64,
-    stats: ResilienceStats,
 }
 
 impl<'a> ClosedLoop<'a> {
     /// Clients on `servers` servers without a dispatcher stream, demand
-    /// inflation, faults or resilience; stops after `target` completions.
+    /// inflation or faults; stops after `target` completions.
     pub fn new(source: &'a mut dyn RequestSource, seed: u64, servers: usize, target: u64) -> Self {
         ClosedLoop {
             source,
@@ -125,17 +118,12 @@ impl<'a> ClosedLoop<'a> {
             dispatch: Dispatch::LeastLoaded,
             inflation: None,
             retry: RetryPolicy::none(),
-            budget: None,
-            breakers: None,
-            breakers_touched: false,
-            elig_buf: vec![true; servers],
             in_flight: vec![0; servers],
             up: vec![true; servers],
             parked: VecDeque::new(),
             rr_next: 0,
             target,
             dropped_total: 0,
-            stats: ResilienceStats::default(),
         }
     }
 
@@ -147,7 +135,7 @@ impl<'a> ClosedLoop<'a> {
         n_clients: u32,
         warmup: u64,
         faults: &ClusterFaults,
-    ) -> (RunStats, ResilienceStats) {
+    ) -> RunStats {
         let s = self.up.len();
         // Pre-size for the steady state: at most one service event and
         // one timeout per client in flight, plus the outage plan.
@@ -183,35 +171,20 @@ impl<'a> ClosedLoop<'a> {
         }
         k.run(&mut self);
 
-        let end = k.events.now();
         let mut stats = k.into_stats();
         stats.faults.plan_skipped = plan_skipped;
-        if let Some(b) = &self.budget {
-            self.stats.retries_spent = b.spent();
-            self.stats.retries_denied = b.denied();
-        }
-        if let Some(bs) = &self.breakers {
-            self.stats.breaker_trips = bs.iter().map(CircuitBreaker::trips).sum();
-            self.stats.breaker_open_ns = bs.iter().map(|b| b.open_ns(end)).sum();
-        }
-        (stats, self.stats)
+        stats
     }
 
-    /// Picks an eligible server per the dispatch policy; `None` when
-    /// none is eligible. With `elig == up` (no breakers) this draws
-    /// exactly what a breakerless run draws.
-    fn pick_eligible(&mut self, breakers_on: bool) -> Option<usize> {
-        let elig = if breakers_on {
-            &self.elig_buf
-        } else {
-            &self.up
-        };
-        let s = elig.len();
+    /// Picks a live server per the dispatch policy; `None` while every
+    /// server is down.
+    fn pick_server(&mut self) -> Option<usize> {
+        let s = self.up.len();
         match self.dispatch {
             Dispatch::RoundRobin => {
                 for _ in 0..s {
                     self.rr_next = (self.rr_next + 1) % s;
-                    if elig[self.rr_next] {
+                    if self.up[self.rr_next] {
                         return Some(self.rr_next);
                     }
                 }
@@ -222,16 +195,16 @@ impl<'a> ClosedLoop<'a> {
                     .dispatch_rng
                     .as_mut()
                     .expect("random dispatch has a stream");
-                if elig.iter().all(|&u| u) {
+                if self.up.iter().all(|&u| u) {
                     Some(rng.index(s))
                 } else {
-                    let ups: Vec<usize> = (0..s).filter(|&i| elig[i]).collect();
+                    let ups: Vec<usize> = (0..s).filter(|&i| self.up[i]).collect();
                     (!ups.is_empty()).then(|| ups[rng.index(ups.len())])
                 }
             }
             Dispatch::LeastLoaded => {
                 let mut best: Option<usize> = None;
-                for i in (0..s).filter(|&i| elig[i]) {
+                for i in (0..s).filter(|&i| self.up[i]) {
                     match best {
                         Some(b) if self.in_flight[i] >= self.in_flight[b] => {}
                         _ => best = Some(i),
@@ -242,30 +215,9 @@ impl<'a> ClosedLoop<'a> {
         }
     }
 
-    /// Breaker-aware dispatch: skips servers whose breaker refuses; when
-    /// every live server refuses, routes anyway rather than park
-    /// (breakers shed failure streaks, they do not model outages).
-    fn pick_server(&mut self, now: SimTime) -> Option<usize> {
-        let Some(bs) = self.breakers.as_mut().filter(|_| self.breakers_touched) else {
-            return self.pick_eligible(false);
-        };
-        for (i, b) in bs.iter_mut().enumerate() {
-            self.elig_buf[i] = self.up[i] && b.admits(now);
-        }
-        if !self.elig_buf.iter().any(|&e| e) && self.up.iter().any(|&u| u) {
-            self.stats.breaker_fast_fails += 1;
-            self.elig_buf.copy_from_slice(&self.up);
-        }
-        let picked = self.pick_eligible(true);
-        if let (Some(srv), Some(bs)) = (picked, &mut self.breakers) {
-            bs[srv].note_dispatch();
-        }
-        picked
-    }
-
     /// Dispatches an attempt, or parks it while no server is up.
     fn route(&mut self, k: &mut Kernel<Self>, work: Work, now: SimTime) {
-        let Some(server) = self.pick_server(now) else {
+        let Some(server) = self.pick_server() else {
             self.parked.push_back(work);
             return;
         };
@@ -285,11 +237,6 @@ impl<'a> ClosedLoop<'a> {
         while k.completed + self.dropped_total < self.target {
             let mut stages = k.stage_list();
             self.source.next_request(&mut self.rng, &mut stages);
-            if let Some(b) = &mut self.budget {
-                b.on_request();
-                self.stats.offered += 1;
-                self.stats.admitted += 1;
-            }
             if stages.is_empty() {
                 k.complete(now, now);
                 continue;
@@ -310,19 +257,12 @@ impl<'a> ClosedLoop<'a> {
     }
 
     /// A dispatched attempt failed (crash or timeout): retry with backoff
-    /// while the per-request limit and the global budget allow it, else
-    /// drop and free the client.
+    /// while the per-request limit allows it, else drop and free the
+    /// client.
     fn fail(&mut self, k: &mut Kernel<Self>, work: Work, now: SimTime) {
-        if !k.retry(&self.retry, self.budget.as_mut(), work, now) {
+        if !k.retry(&self.retry, None, work, now) {
             self.dropped_total += 1;
             self.launch(k, now);
-        }
-    }
-
-    fn record_failure(&mut self, server: usize, now: SimTime) {
-        if let Some(bs) = &mut self.breakers {
-            self.breakers_touched = true;
-            bs[server].record_failure(now);
         }
     }
 }
@@ -341,7 +281,6 @@ impl Adapter for ClosedLoop<'_> {
                 for slot in k.kill_server(server, now) {
                     let work = std::mem::take(&mut k.slots[slot].work);
                     k.release(slot);
-                    self.record_failure(server, now);
                     if !k.slots[slot].data.abandoned {
                         self.fail(k, work, now);
                     }
@@ -362,13 +301,11 @@ impl Adapter for ClosedLoop<'_> {
                 s.data.abandoned = true;
                 // The zombie keeps draining on the server; the client
                 // moves on with a copy of the stage list.
-                let server = s.server as usize;
                 let work = Work {
                     stages: s.work.stages.clone(),
                     ..s.work
                 };
                 k.faults.timeouts += 1;
-                self.record_failure(server, now);
                 self.fail(k, work, now);
             }
         }
@@ -385,9 +322,6 @@ impl Adapter for ClosedLoop<'_> {
         k.release(slot);
         if abandoned {
             return;
-        }
-        if let Some(bs) = &mut self.breakers {
-            bs[server].record_success(now);
         }
         k.complete(started, now);
         self.launch(k, now);
@@ -457,8 +391,8 @@ impl Cluster {
     ///
     /// * When a server dies, everything queued or in service there fails
     ///   immediately (fail-fast); each failed request retries after
-    ///   backoff if budget remains, else it is dropped and its client
-    ///   moves on.
+    ///   backoff while its retry limit allows, else it is dropped and its
+    ///   client moves on.
     /// * When an attempt times out, the client abandons it and retries
     ///   (or drops), but the server keeps draining the zombie work —
     ///   the wasted-work effect of real datacenter timeouts.
@@ -484,55 +418,6 @@ impl Cluster {
         faults: &ClusterFaults,
         retry: &RetryPolicy,
     ) -> Result<RunStats, ConfigError> {
-        self.run_closed_loop_resilient(
-            source,
-            n_clients,
-            warmup,
-            measured,
-            seed,
-            faults,
-            retry,
-            &ResilienceConfig::disabled(),
-        )
-        .map(|(stats, _)| stats)
-    }
-
-    /// [`run_closed_loop_faulted`](Self::run_closed_loop_faulted) with an
-    /// overload-resilience layer: a global [`RetryBudget`] gates every
-    /// retry the [`RetryPolicy`] would otherwise grant unconditionally,
-    /// and per-server [`CircuitBreaker`]s steer the dispatcher away from
-    /// backends on a failure streak (admission control lives at the
-    /// open-loop entry — see
-    /// [`run_open_loop_resilient`](crate::run_open_loop_resilient) — not
-    /// here, where closed-loop clients self-limit).
-    ///
-    /// When every live server's breaker refuses, the dispatcher routes
-    /// anyway (counted in
-    /// [`breaker_fast_fails`](ResilienceStats::breaker_fast_fails)):
-    /// breakers are overload protection, and parking behind them would
-    /// deadlock a closed loop whose only servers are all on a streak.
-    ///
-    /// With [`ResilienceConfig::disabled`] this is bit-identical to
-    /// [`run_closed_loop_faulted`](Self::run_closed_loop_faulted): no
-    /// extra RNG draws, no event-schedule changes. [`ResilienceStats`]
-    /// counters cover the whole run (warmup included), unlike
-    /// [`FaultStats`](crate::FaultStats), which covers the measurement window.
-    ///
-    /// # Errors
-    /// As [`run_closed_loop_faulted`](Self::run_closed_loop_faulted).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_closed_loop_resilient(
-        &self,
-        source: &mut dyn RequestSource,
-        n_clients: u32,
-        warmup: u64,
-        measured: u64,
-        seed: u64,
-        faults: &ClusterFaults,
-        retry: &RetryPolicy,
-        resilience: &ResilienceConfig,
-    ) -> Result<(RunStats, ResilienceStats), ConfigError> {
-        resilience.validate();
         if n_clients == 0 {
             return Err(ConfigError::ZeroCount { param: "n_clients" });
         }
@@ -546,24 +431,14 @@ impl Cluster {
                 available: self.servers as u64,
             });
         }
-        let s = self.servers as usize;
-        let mut cl = ClosedLoop::new(source, seed, s, warmup + measured);
+        let mut cl = ClosedLoop::new(source, seed, self.servers as usize, warmup + measured);
         cl.dispatch_rng = Some(cl.rng.fork(99));
         cl.dispatch = self.dispatch;
         cl.inflation = Some(self.inflation());
         cl.retry = *retry;
-        // Absent resilience mechanisms cost nothing: with the layer
-        // disabled the run draws and schedules exactly what the plain
-        // faulted run does.
-        cl.budget = resilience.retry_budget.map(RetryBudget::new);
-        cl.breakers = resilience.breaker.map(|cfg| {
-            (0..s)
-                .map(|srv| CircuitBreaker::new(cfg, seed ^ 0xB4EA_0001, srv as u64))
-                .collect()
-        });
-        let (mut stats, res) = cl.run(self.spec, n_clients, warmup, faults);
+        let mut stats = cl.run(self.spec, n_clients, warmup, faults);
         stats.faults.offered = stats.completed + stats.faults.dropped;
-        Ok((stats, res))
+        Ok(stats)
     }
 }
 
@@ -824,122 +699,6 @@ mod fault_tests {
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.window, b.window);
         assert_eq!(a.faults, b.faults);
-    }
-
-    #[test]
-    fn disabled_resilience_is_bit_identical_to_faulted_run() {
-        use crate::resilience::ResilienceConfig;
-        let c = Cluster::ideal(ServerSpec::new(2), 4).unwrap();
-        let p =
-            FaultProcess::exponential(SimDuration::from_millis(300), SimDuration::from_millis(40))
-                .unwrap();
-        let faults = ClusterFaults::from_processes(&[p, p, p, p], SimDuration::from_secs(30), 77);
-        let retry =
-            RetryPolicy::new(SimDuration::from_millis(20), 2, SimDuration::from_millis(1)).unwrap();
-        for dispatch in [
-            Dispatch::RoundRobin,
-            Dispatch::LeastLoaded,
-            Dispatch::Random,
-        ] {
-            let mut cl = c.clone();
-            cl.dispatch = dispatch;
-            let plain = cl
-                .run_closed_loop_faulted(&mut exp_cpu(900), 24, 200, 4000, 31, &faults, &retry)
-                .unwrap();
-            let (run, res) = cl
-                .run_closed_loop_resilient(
-                    &mut exp_cpu(900),
-                    24,
-                    200,
-                    4000,
-                    31,
-                    &faults,
-                    &retry,
-                    &ResilienceConfig::disabled(),
-                )
-                .unwrap();
-            assert_eq!(fingerprint(&plain), fingerprint(&run));
-            assert_eq!(plain.faults, run.faults);
-            assert_eq!(res, crate::resilience::ResilienceStats::default());
-        }
-    }
-
-    #[test]
-    fn retry_budget_caps_amplification_under_fault_storm() {
-        use crate::resilience::{ResilienceConfig, RetryBudgetConfig};
-        let c = Cluster::ideal(ServerSpec::new(2), 4).unwrap();
-        // Churning faults + a generous per-request retry allowance: the
-        // unconditional path would amplify; the budget must hold the line.
-        let p =
-            FaultProcess::exponential(SimDuration::from_millis(120), SimDuration::from_millis(30))
-                .unwrap();
-        let faults = ClusterFaults::from_processes(&[p, p, p, p], SimDuration::from_secs(60), 5);
-        let retry =
-            RetryPolicy::new(SimDuration::from_millis(10), 8, SimDuration::from_millis(1)).unwrap();
-        let budget = RetryBudgetConfig {
-            ratio: 0.01,
-            initial: 2.0,
-            cap: 8.0,
-        };
-        let cfg = ResilienceConfig {
-            retry_budget: Some(budget),
-            ..ResilienceConfig::disabled()
-        };
-        let (stats, res) = c
-            .run_closed_loop_resilient(&mut exp_cpu(900), 24, 200, 6000, 31, &faults, &retry, &cfg)
-            .unwrap();
-        assert!(res.offered > 0);
-        let ceiling = budget.initial + budget.ratio * res.offered as f64;
-        assert!(
-            (res.retries_spent as f64) <= ceiling + 1e-9,
-            "spent {} > ceiling {ceiling}",
-            res.retries_spent
-        );
-        assert!(res.retries_denied > 0, "storm must exhaust the budget");
-        assert!(stats.completed > 0);
-        // Unbudgeted comparison run: strictly more retries granted.
-        let unbudgeted = c
-            .run_closed_loop_faulted(&mut exp_cpu(900), 24, 200, 6000, 31, &faults, &retry)
-            .unwrap();
-        assert!(
-            unbudgeted.faults.retries + unbudgeted.faults.dropped > 0,
-            "storm is real"
-        );
-    }
-
-    #[test]
-    fn breakers_trip_on_outage_and_run_recovers() {
-        use crate::resilience::{BreakerConfig, ResilienceConfig};
-        let c = Cluster::ideal(ServerSpec::new(2), 4).unwrap();
-        let faults = ClusterFaults::single_outage(
-            0,
-            SimTime::ZERO + SimDuration::from_millis(200),
-            SimDuration::from_millis(800),
-        );
-        let retry =
-            RetryPolicy::new(SimDuration::from_millis(30), 3, SimDuration::from_millis(1)).unwrap();
-        let cfg = ResilienceConfig {
-            breaker: Some(BreakerConfig {
-                failure_threshold: 2,
-                open_for: SimDuration::from_millis(50),
-                jitter: 0.2,
-                half_open_probes: 2,
-            }),
-            ..ResilienceConfig::disabled()
-        };
-        let (stats, res) = c
-            .run_closed_loop_resilient(&mut exp_cpu(1000), 32, 200, 6000, 9, &faults, &retry, &cfg)
-            .unwrap();
-        assert_eq!(stats.completed, 6000, "run completes despite the trip");
-        assert!(res.breaker_trips > 0, "outage victims trip the breaker");
-        assert!(res.breaker_open_ns > 0);
-        // Determinism of the resilient path.
-        let (stats2, res2) = c
-            .run_closed_loop_resilient(&mut exp_cpu(1000), 32, 200, 6000, 9, &faults, &retry, &cfg)
-            .unwrap();
-        assert_eq!(stats.completed, stats2.completed);
-        assert_eq!(stats.window, stats2.window);
-        assert_eq!(res, res2);
     }
 
     #[test]

@@ -166,9 +166,12 @@ impl ServerSim {
         assert!(measured > 0, "need a measurement window");
         // A lone server: no dispatcher stream, no demand inflation, no
         // faults.
-        ClosedLoop::new(source, seed, 1, warmup + measured)
-            .run(self.spec, n_clients, warmup, &ClusterFaults::fail_free())
-            .0
+        ClosedLoop::new(source, seed, 1, warmup + measured).run(
+            self.spec,
+            n_clients,
+            warmup,
+            &ClusterFaults::fail_free(),
+        )
     }
 }
 

@@ -12,9 +12,7 @@
 //!
 //! [`RunStats`]: crate::RunStats
 
-use wcs_simcore::faults::{
-    downtime, ComponentId, DownWindow, FaultInjector, FaultProcess, FaultTrace,
-};
+use wcs_simcore::faults::{downtime, ComponentId, DownWindow, FaultInjector, FaultProcess};
 use wcs_simcore::{ConfigError, SimDuration, SimTime};
 
 /// How the dispatcher reacts when a request stalls or its server dies.
@@ -127,17 +125,6 @@ impl ClusterFaults {
         let trace = injector.trace(horizon, seed);
         ClusterFaults {
             windows: ids.iter().map(|&id| trace.windows(id).to_vec()).collect(),
-        }
-    }
-
-    /// Builds a plan from an existing trace: `components[i]` is the trace
-    /// component standing in for server `i`.
-    pub fn from_trace(trace: &FaultTrace, components: &[ComponentId]) -> Self {
-        ClusterFaults {
-            windows: components
-                .iter()
-                .map(|&id| trace.windows(id).to_vec())
-                .collect(),
         }
     }
 

@@ -292,9 +292,9 @@ impl<A: Adapter> Kernel<A> {
     }
 
     /// Failed `work` retries after `retry`'s backoff when the
-    /// per-request attempt limit and the global budget both allow it
-    /// (delivered through [`Adapter::on_retry`]); otherwise it counts as
-    /// a drop and `false` comes back.
+    /// per-request attempt limit and, if the adapter has one, the retry
+    /// budget both allow it (delivered through [`Adapter::on_retry`]);
+    /// otherwise it counts as a drop and `false` comes back.
     pub fn retry(
         &mut self,
         retry: &RetryPolicy,

@@ -328,10 +328,11 @@ impl Adapter for OpenLoop<'_> {
 /// Runs a profiled open loop through the overload-resilience layer
 /// against a single blade that goes down and comes back per `outages`.
 ///
-/// This is the serving entry the tentpole wires into scenarios: open
+/// This is the serving entry a resilient scenario runs: open
 /// (production) traffic, so overload is visible, plus a fault plan, so
-/// flash crowds and blade faults finally meet. The layer applies, in
-/// order per arrival:
+/// flash crowds and blade faults meet. It is the one home of the
+/// overload defenses; the closed loop keeps only failover, timeouts,
+/// retries and parking. The layer applies, in order per arrival:
 ///
 /// 1. **Admission** — each arrival is classed [`Priority::High`] or
 ///    [`Priority::Low`] from the pure per-index stream
@@ -397,7 +398,7 @@ pub fn run_open_loop_resilient(
         budget: resilience.retry_budget.map(RetryBudget::new),
         breaker: resilience
             .breaker
-            .map(|cfg| CircuitBreaker::new(cfg, seed ^ 0xB4EA_0002, 0)),
+            .map(|cfg| CircuitBreaker::new(cfg, seed ^ 0xB4EA_0002)),
         stats: ResilienceStats::default(),
         up: true,
         arrivals: 0,
@@ -613,6 +614,11 @@ mod tests {
 
     #[test]
     fn resilient_disabled_no_outages_matches_profiled() {
+        // Without outages the layer is inert both switched off and armed
+        // but idle (admission sized far above the offered load, a retry
+        // policy and budget nothing spends, a breaker nothing trips): the
+        // run reproduces the profiled open loop's results and its event
+        // queue, and every arrival is admitted.
         let profile = RateProfile::new(SimDuration::from_millis(500), vec![0.5, 1.0, 2.0, 1.0]);
         let plain = run_open_loop_profiled(
             ServerSpec::new(2),
@@ -620,26 +626,36 @@ mod tests {
             900.0,
             &profile,
             100,
-            2000,
+            4000,
             5,
         );
-        let (res, stats) = run_open_loop_resilient(
-            ServerSpec::new(2),
-            &mut cpu_source(500),
-            900.0,
-            &profile,
-            100,
-            2000,
-            5,
-            &[],
-            &RetryPolicy::none(),
-            &ResilienceConfig::disabled(),
-        );
-        assert_eq!(fingerprint(&plain), fingerprint(&res));
-        assert_eq!(stats.shed(), 0);
-        assert_eq!(stats.retries_spent, 0);
-        assert_eq!(stats.breaker_trips, 0);
-        assert_eq!(stats.offered, stats.admitted);
+        let idle_retry =
+            RetryPolicy::new(SimDuration::from_millis(5), 3, SimDuration::from_millis(1)).unwrap();
+        for (retry, cfg) in [
+            (RetryPolicy::none(), ResilienceConfig::disabled()),
+            (idle_retry, ResilienceConfig::standard(50_000.0)),
+        ] {
+            let (run, stats) = run_open_loop_resilient(
+                ServerSpec::new(2),
+                &mut cpu_source(500),
+                900.0,
+                &profile,
+                100,
+                4000,
+                5,
+                &[],
+                &retry,
+                &cfg,
+            );
+            assert_eq!(fingerprint(&plain), fingerprint(&run), "{cfg:?}");
+            assert_eq!(plain.queue, run.queue, "{cfg:?}");
+            assert!(stats.offered >= 4100, "{stats:?}");
+            assert_eq!(stats.offered, stats.admitted, "{stats:?}");
+            assert_eq!(stats.shed(), 0);
+            assert_eq!(stats.breaker_trips, 0);
+            assert_eq!(stats.breaker_fast_fails, 0);
+            assert_eq!(stats.retries_spent, 0);
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
-//! Overload-resilience primitives: admission control, retry budgets,
-//! and per-backend circuit breakers.
+//! Overload-resilience primitives: admission control, a retry budget,
+//! and a circuit breaker.
 //!
 //! The paper's Perf/TCO-$ argument assumes ensembles keep serving
 //! through component failure; Hamilton's modular-datacenter argument
 //! (PAPERS.md) makes service-level resilience the whole point of
 //! commodity warehouse hardware. This module supplies the serving-side
-//! half of that story, as three independent, seeded state machines:
+//! half of that story, as three independent, seeded state machines that
+//! the open loop ([`run_open_loop_resilient`](crate::run_open_loop_resilient))
+//! arms in front of its blade:
 //!
 //! * A **token-bucket admission controller** ([`TokenBucket`]) sheds
 //!   load at the open-loop entry before it queues, dropping
@@ -15,12 +17,12 @@
 //!   amplification: tokens accrue as a fixed ratio of offered requests
 //!   and every retry spends one, so a fault burst cannot multiply
 //!   offered load without bound — the classic retry-storm defence.
-//! * A **per-backend circuit breaker** ([`CircuitBreaker`]) trips open
-//!   after consecutive failures, fails fast while open, and probes with
-//!   a bounded number of half-open requests before closing again. Trip
+//! * A **circuit breaker** ([`CircuitBreaker`]) trips open after
+//!   consecutive failures, fails fast while open, and probes with a
+//!   bounded number of half-open requests before closing again. Trip
 //!   and probe schedules are deterministic: open-window jitter draws
-//!   from the pure [`SimRng::stream`] keyed on (seed, backend, trip
-//!   count), never from call order.
+//!   from the pure [`SimRng::stream`] keyed on (seed, trip count),
+//!   never from call order.
 //!
 //! Everything here follows the workspace's pay-for-what-you-use
 //! invariant: a [`ResilienceConfig::disabled`] layer performs no RNG
@@ -246,7 +248,7 @@ impl RetryBudget {
     }
 }
 
-/// Per-backend circuit-breaker parameters.
+/// Circuit-breaker parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerConfig {
     /// Consecutive failures that trip the breaker open.
@@ -255,8 +257,8 @@ pub struct BreakerConfig {
     pub open_for: SimDuration,
     /// Maximum jitter added to each open window, as a fraction of
     /// `open_for` (0 disables jitter). Drawn from the pure
-    /// [`SimRng::stream`] keyed on (seed, backend, trip count), so the
-    /// schedule is independent of event order and thread count.
+    /// [`SimRng::stream`] keyed on (seed, trip count), so the schedule
+    /// is independent of event order and thread count.
     pub jitter: f64,
     /// Requests allowed through while half-open; one success closes the
     /// breaker, one failure re-opens it.
@@ -287,13 +289,12 @@ enum BreakerState {
     HalfOpen { probes_issued: u32 },
 }
 
-/// A per-backend circuit breaker: closed → open → half-open, with
-/// deterministic trip and probe schedules.
+/// A circuit breaker: closed → open → half-open, with deterministic
+/// trip and probe schedules.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     seed: u64,
-    backend: u64,
     state: BreakerState,
     trips: u64,
     opened_at: Option<SimTime>,
@@ -301,14 +302,12 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// A closed breaker for one backend. `seed` anchors the jitter
-    /// stream; `backend` distinguishes breakers sharing a seed.
-    pub fn new(cfg: BreakerConfig, seed: u64, backend: u64) -> Self {
+    /// A closed breaker. `seed` anchors the jitter stream.
+    pub fn new(cfg: BreakerConfig, seed: u64) -> Self {
         cfg.validate();
         CircuitBreaker {
             cfg,
             seed,
-            backend,
             state: BreakerState::Closed {
                 consecutive_failures: 0,
             },
@@ -322,15 +321,10 @@ impl CircuitBreaker {
         if self.cfg.jitter == 0.0 {
             return self.cfg.open_for;
         }
-        // Pure stream keyed on (seed, backend, trip count): the jitter
-        // of trip k is a constant of the configuration, not of when or
-        // in what order record_failure was called.
-        let mut rng = SimRng::stream(
-            self.seed ^ 0xB4EA_4E0F,
-            self.backend
-                .wrapping_mul(0x9E37_79B9)
-                .wrapping_add(self.trips),
-        );
+        // Pure stream keyed on (seed, trip count): the jitter of trip k
+        // is a constant of the configuration, not of when or in what
+        // order record_failure was called.
+        let mut rng = SimRng::stream(self.seed ^ 0xB4EA_4E0F, self.trips);
         let scale = 1.0 + self.cfg.jitter * rng.uniform();
         SimDuration::from_secs_f64(self.cfg.open_for.as_secs_f64() * scale)
     }
@@ -450,26 +444,21 @@ pub struct ResilienceConfig {
     pub admission: Option<AdmissionConfig>,
     /// Global retry budget replacing unconditional retries.
     pub retry_budget: Option<RetryBudgetConfig>,
-    /// Per-backend circuit breakers.
+    /// A circuit breaker in front of the blade.
     pub breaker: Option<BreakerConfig>,
 }
 
 impl ResilienceConfig {
-    /// The disabled layer: no admission, no budget, no breakers. Runs
+    /// The disabled layer: no admission, no budget, no breaker. Runs
     /// configured with this are bit-identical to runs that never
     /// constructed a resilience layer at all.
     pub fn disabled() -> Self {
         ResilienceConfig::default()
     }
 
-    /// True when every mechanism is off.
-    pub fn is_disabled(&self) -> bool {
-        self.admission.is_none() && self.retry_budget.is_none() && self.breaker.is_none()
-    }
-
     /// The standard serving profile: admission at 1.2x the backend's
     /// capacity with a 25% low-priority reserve, a 10% retry budget,
-    /// and 3-strike breakers probing after a jittered open window.
+    /// and a 3-strike breaker probing after a jittered open window.
     /// `capacity_rps` sizes the admission bucket; pass the measured
     /// steady-state capacity of the backend being protected.
     pub fn standard(capacity_rps: f64) -> Self {
@@ -494,18 +483,6 @@ impl ResilienceConfig {
         }
     }
 
-    /// [`standard`](Self::standard) with the retry-budget ratio
-    /// overridden (the `--retry-budget` CLI knob).
-    pub fn with_retry_ratio(mut self, ratio: f64) -> Self {
-        let base = self.retry_budget.unwrap_or(RetryBudgetConfig {
-            ratio,
-            initial: 8.0,
-            cap: 64.0,
-        });
-        self.retry_budget = Some(RetryBudgetConfig { ratio, ..base });
-        self
-    }
-
     /// Validates every configured mechanism.
     ///
     /// # Panics
@@ -521,53 +498,15 @@ impl ResilienceConfig {
             b.validate();
         }
     }
-
-    /// Folds the configuration into a memo key lane (every field, so
-    /// cached resilient runs can never alias across configs).
-    pub fn memo_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |x: u64| {
-            h = (h ^ x).wrapping_mul(0x0000_0100_0000_01B3);
-            h ^= h >> 29;
-        };
-        match &self.admission {
-            None => mix(0),
-            Some(a) => {
-                mix(1);
-                mix(a.rate_rps.to_bits());
-                mix(a.burst.to_bits());
-                mix(a.low_reserve.to_bits());
-                mix(a.low_fraction.to_bits());
-            }
-        }
-        match &self.retry_budget {
-            None => mix(0),
-            Some(b) => {
-                mix(1);
-                mix(b.ratio.to_bits());
-                mix(b.initial.to_bits());
-                mix(b.cap.to_bits());
-            }
-        }
-        match &self.breaker {
-            None => mix(0),
-            Some(b) => {
-                mix(1);
-                mix(u64::from(b.failure_threshold));
-                mix(b.open_for.as_nanos());
-                mix(b.jitter.to_bits());
-                mix(u64::from(b.half_open_probes));
-            }
-        }
-        h
-    }
 }
 
 /// Per-run resilience accounting, reported alongside
-/// [`RunStats`](crate::RunStats) by the resilient entry points. Covers
+/// [`RunStats`](crate::RunStats) by
+/// [`run_open_loop_resilient`](crate::run_open_loop_resilient). Covers
 /// the whole run (warmup included) — shed decisions before the
 /// measurement window still shape the window, so the full-run view is
-/// the meaningful one. All-zero when the layer is disabled.
+/// the meaningful one. With the layer disabled every arrival counts as
+/// offered and admitted, and every other counter is zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResilienceStats {
     /// Logical requests that reached the admission point.
@@ -580,9 +519,9 @@ pub struct ResilienceStats {
     pub shed_high: u64,
     /// Requests failed fast by an open breaker (no backend attempt).
     pub breaker_fast_fails: u64,
-    /// Breaker trips across every backend.
+    /// Times the breaker tripped open.
     pub breaker_trips: u64,
-    /// Nanoseconds of breaker-open time summed across backends.
+    /// Nanoseconds the breaker spent open.
     pub breaker_open_ns: u64,
     /// Retries granted by the budget.
     pub retries_spent: u64,
@@ -613,15 +552,6 @@ impl ResilienceStats {
         } else {
             1.0 + self.retries_spent as f64 / self.admitted as f64
         }
-    }
-
-    /// Fraction of `span` the breakers spent open, averaged over
-    /// `backends`.
-    pub fn breaker_open_fraction(&self, span: SimDuration, backends: u32) -> f64 {
-        if span.is_zero() || backends == 0 {
-            return 0.0;
-        }
-        self.breaker_open_ns as f64 / (span.as_nanos() as f64 * f64::from(backends))
     }
 }
 
@@ -720,7 +650,7 @@ mod tests {
             jitter: 0.0,
             half_open_probes: 2,
         };
-        let mut b = CircuitBreaker::new(cfg, 7, 0);
+        let mut b = CircuitBreaker::new(cfg, 7);
         assert!(b.admits(SimTime::ZERO));
         b.record_failure(at(1));
         b.record_failure(at(2));
@@ -749,7 +679,7 @@ mod tests {
             jitter: 0.0,
             half_open_probes: 1,
         };
-        let mut b = CircuitBreaker::new(cfg, 3, 1);
+        let mut b = CircuitBreaker::new(cfg, 3);
         b.record_failure(at(0));
         assert!(b.is_open(at(1)));
         assert!(b.admits(at(6)), "half-open probe");
@@ -767,10 +697,10 @@ mod tests {
             jitter: 0.5,
             half_open_probes: 1,
         };
-        // Two breakers with identical (seed, backend) trip at different
-        // times but produce the same open-window length per trip count.
+        // Two breakers with the same seed trip at different times but
+        // produce the same open-window length per trip count.
         let window_after_trip = |fail_at: SimTime| {
-            let mut b = CircuitBreaker::new(cfg, 42, 3);
+            let mut b = CircuitBreaker::new(cfg, 42);
             b.record_failure(fail_at);
             let BreakerState::Open { until } = b.state else {
                 panic!("tripped breaker is open");
@@ -779,10 +709,10 @@ mod tests {
         };
         let w1 = window_after_trip(at(1));
         let w2 = window_after_trip(at(999));
-        assert_eq!(w1, w2, "jitter depends on (seed, backend, trip), not time");
+        assert_eq!(w1, w2, "jitter depends on (seed, trip), not time");
         assert!(w1 >= ms(10) && w1 <= ms(15), "jitter within bound: {w1:?}");
-        // A different backend draws a different (but still pure) jitter.
-        let mut other = CircuitBreaker::new(cfg, 42, 4);
+        // A different seed draws a different (but still pure) jitter.
+        let mut other = CircuitBreaker::new(cfg, 43);
         other.record_failure(at(1));
         let BreakerState::Open { until } = other.state else {
             panic!("tripped breaker is open");
@@ -803,21 +733,6 @@ mod tests {
             assert_eq!(priority_for(11, i, 0.2), priority_for(11, i, 0.2));
         }
         assert_eq!(priority_for(5, 3, 0.0), Priority::High);
-    }
-
-    #[test]
-    fn disabled_config_is_disabled_and_standard_is_not() {
-        assert!(ResilienceConfig::disabled().is_disabled());
-        let std = ResilienceConfig::standard(1000.0);
-        assert!(!std.is_disabled());
-        std.validate();
-        let tuned = std.with_retry_ratio(0.25);
-        assert!((tuned.retry_budget.unwrap().ratio - 0.25).abs() < 1e-12);
-        assert_ne!(std.memo_digest(), tuned.memo_digest());
-        assert_eq!(
-            std.memo_digest(),
-            ResilienceConfig::standard(1000.0).memo_digest()
-        );
     }
 
     #[test]

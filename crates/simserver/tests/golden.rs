@@ -593,54 +593,3 @@ fn cluster_faulted() {
         (0x504a59d104833ab9, Some(0x0e4f2b55cc261ef6)),
     );
 }
-
-#[test]
-fn cluster_resilient() {
-    let retry = RetryPolicy::new(ms(6), 4, ms(1)).expect("positive timeout");
-    let cfg = ResilienceConfig {
-        admission: None,
-        retry_budget: Some(RetryBudgetConfig {
-            ratio: 0.05,
-            initial: 3.0,
-            cap: 16.0,
-        }),
-        breaker: Some(BreakerConfig {
-            failure_threshold: 2,
-            open_for: ms(20),
-            jitter: 0.2,
-            half_open_probes: 2,
-        }),
-    };
-    for (name, dispatch, want) in [
-        (
-            "resilient-cluster/round-robin",
-            Dispatch::RoundRobin,
-            (0x3c5b1703a7f35e65, Some(0x6873c4ab50c83fcc)),
-        ),
-        (
-            "resilient-cluster/least-loaded",
-            Dispatch::LeastLoaded,
-            (0x9edca90be8512358, Some(0x3598a1d9fc287273)),
-        ),
-        (
-            "resilient-cluster/random",
-            Dispatch::Random,
-            (0xfd5295e8171d145f, Some(0xdcdec956ec83d0f4)),
-        ),
-    ] {
-        let (stats, res) = cluster(4, dispatch)
-            .run_closed_loop_resilient(
-                &mut mixed,
-                16,
-                200,
-                4000,
-                29,
-                &flapping_plan(4, 6),
-                &retry,
-                &cfg,
-            )
-            .expect("valid run");
-        assert!(res.breaker_trips > 0 && res.retries_spent > 0, "{name}");
-        pin(name, resilient_case(&stats, &res), want);
-    }
-}
