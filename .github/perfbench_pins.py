@@ -31,22 +31,22 @@ PINS = {
         },
     ),
     "design-sweep": (
-        "cb685337abe1695b",
+        "46b832066ca9b422",
         {
-            "workloads.memtrace.accesses": 20_000_000,
-            "memshare.replay.accesses": 160_000_000,
+            "workloads.memtrace.accesses": 15_000_000,
+            "memshare.replay.accesses": 120_000_000,
             "flashcache.replay.blocks": 576_000_000,
             "simserver.driver.events": 2_160_456,
             "simcore.event.scheduled": 2_176_840,
         },
     ),
     "traffic-what-if": (
-        "6ea704e74b12072b",
+        "a388eec7f8eed012",
         {
             "simserver.openloop.events": 7_986_570,
-            "simserver.resilience.events": 6_707_280,
-            "simcore.event.scheduled": 14_721_498,
-            "workloads.memtrace.accesses": 16_000_000,
+            "simserver.resilience.events": 6_697_059,
+            "simcore.event.scheduled": 14_711_277,
+            "workloads.memtrace.accesses": 12_000_000,
         },
     ),
 }

@@ -7,7 +7,7 @@ use wcs_memshare::blade::BladeModel;
 use wcs_memshare::link::RemoteLink;
 use wcs_memshare::policy::PolicyKind;
 use wcs_memshare::provisioning::Provisioning;
-use wcs_memshare::slowdown::{estimate_slowdown_with, ReplayMemo, SlowdownConfig};
+use wcs_memshare::slowdown::{estimate_slowdown_with, ReplayMemo, SlowdownConfig, SlowdownResult};
 use wcs_platforms::{catalog, PlatformId};
 use wcs_tco::{Efficiency, TcoModel};
 use wcs_workloads::WorkloadId;
@@ -20,7 +20,7 @@ fn main() {
     let memo = ReplayMemo::with_enabled(args.memo).with_obs(args.obs.clone());
     println!("Figure 4(b): slowdowns with random replacement (% of execution time)");
     println!(
-        "{:<18} {:>10} {:>9} {:>8} {:>10} {:>10}",
+        "{:<16}{:>13}{:>13}{:>13}{:>13}{:>13}",
         "config", "websearch", "webmail", "ytube", "mapred-wc", "mapred-wr"
     );
     for (label, link, frac) in [
@@ -29,7 +29,7 @@ fn main() {
         ("PCIe x4, 12.5%", RemoteLink::pcie_x4(), 0.125),
         ("CBF,     12.5%", RemoteLink::pcie_x4_cbf(), 0.125),
     ] {
-        print!("{label:<18}");
+        print!("{label:<16}");
         for id in WorkloadId::ALL {
             let r = estimate_slowdown_with(
                 id,
@@ -41,10 +41,14 @@ fn main() {
                 &memo,
             )
             .expect("valid slowdown config");
-            print!("{:>9.1}%", r.slowdown * 100.0);
+            print!(
+                "{:>13}",
+                format!("{:.1}% {}", r.slowdown * 100.0, precision(&r))
+            );
         }
         println!();
     }
+    println!("(± is the 95% batch-means half-width in percentage points)");
     println!(
         "(paper, PCIe x4 @ 25%: 4.7 / 0.2 / 1.4 / 0.7 / 0.7; CBF: 1.2 / 0.1 / 0.4 / 0.2 / 0.2)"
     );
@@ -61,10 +65,11 @@ fn main() {
         )
         .expect("valid slowdown config");
         println!(
-            "  {:<8} miss ratio {:>6.3}  slowdown {:>5.2}%",
+            "  {:<8} miss ratio {:>6.3}  slowdown {:>5.2}% {}",
             format!("{policy:?}"),
             r.stats.miss_ratio(),
-            r.slowdown * 100.0
+            r.slowdown * 100.0,
+            precision(&r)
         );
     }
 
@@ -96,4 +101,10 @@ fn main() {
     }
     println!("(paper: static 102/116/108; dynamic 106/116/111)");
     args.write_metrics();
+}
+
+/// `±` and the slowdown's 95% half-width in percentage points.
+fn precision(r: &SlowdownResult) -> String {
+    let half_width = r.half_width.expect("the paper length fills every batch");
+    format!("±{:.3}", half_width * 100.0)
 }

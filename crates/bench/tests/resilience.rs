@@ -49,16 +49,19 @@ fn run_slate(eval: &Evaluator) -> Vec<ScenarioEval> {
 /// Without a resilience spec, the full scenarios-bin slate renders
 /// byte-identically to the build that predates the resilience layer —
 /// the checksum was captured by running that build's `scenarios` binary,
-/// and re-captured once when the QoS search began to stop its client
-/// ramp at a throughput plateau (only srvr1's faas capacity and the
-/// flash-crowd traffic scaled from it moved; no cost line did).
+/// and re-captured when the QoS search began to stop its client ramp at
+/// a throughput plateau (only srvr1's faas capacity and the flash-crowd
+/// traffic scaled from it moved; no cost line did), and when the memory
+/// blade's replay began to measure 1,000,000 accesses instead of
+/// 2,000,000 (only N2's lines moved, through its memory-blade slowdown;
+/// no cost line did).
 #[test]
 fn disabled_resilience_pins_the_pre_pr_fixture() {
     let eval = Evaluator::builder().quick().build().unwrap();
     let render = format!("{:?}", run_slate(&eval));
     assert_eq!(
         fnv1a64(render.as_bytes()),
-        0x48e970d838e462d6,
+        0x6357bd3eade022d8,
         "disabled resilience must not perturb pre-PR renders"
     );
 }

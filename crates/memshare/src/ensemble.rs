@@ -159,7 +159,9 @@ pub fn run_ensemble_pooled(
 
         // Fill, then measure.
         let fill = accesses_per_server / 2;
-        let stats = sim.run_steady_buf(&trace, fill, accesses_per_server - fill);
+        let stats = sim
+            .run_steady_buf(&trace, fill, accesses_per_server - fill)
+            .stats;
         (stats.miss_ratio(), params.accesses_per_cpu_sec)
     });
 

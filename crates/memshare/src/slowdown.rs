@@ -10,7 +10,7 @@ use wcs_workloads::WorkloadId;
 
 use crate::link::RemoteLink;
 use crate::policy::PolicyKind;
-use crate::twolevel::{MissStats, TwoLevelSim};
+use crate::twolevel::{MissStats, SteadyStats, TwoLevelSim};
 
 /// The paper's trace baseline in 4 KiB pages: 2 GiB of first-level
 /// memory (it studied 4 GiB and 2 GiB and reports the conservative 2 GiB
@@ -27,9 +27,11 @@ pub struct SlowdownConfig {
     pub policy: PolicyKind,
     /// Link / latency model.
     pub link: RemoteLink,
-    /// Warmup accesses before measuring.
+    /// Warm-up accesses before measuring. Misses are charged only once
+    /// the local store is full, so the warm-up must fill it.
     pub fill: u64,
-    /// Measured accesses.
+    /// Measured accesses, replayed in [`BATCHES`](crate::twolevel::BATCHES)
+    /// batches for the result's interval.
     pub measured: u64,
     /// RNG seed.
     pub seed: u64,
@@ -37,14 +39,24 @@ pub struct SlowdownConfig {
 
 impl SlowdownConfig {
     /// The paper's primary configuration: 25% local memory, random
-    /// replacement, whole-page PCIe transfers.
+    /// replacement, whole-page PCIe transfers, 2,000,000 warm-up and
+    /// 1,000,000 measured accesses.
+    ///
+    /// The measured length is what Fig 4(b)'s one printed decimal needs.
+    /// Over every paper workload at 1/16 to 1/2 local memory, and LRU
+    /// and clock for websearch, each cell whose store is full when
+    /// measurement begins reads a 95% half-width of at most 0.015
+    /// slowdown points at 1,000,000 accesses, and lies within 0.010
+    /// points of its 2,000,000-access estimate. Cells that fill only
+    /// during measurement (mapred-wc and -wr at 1/2) or never fill
+    /// (webmail at 1/2) say so through [`SlowdownResult::filled`].
     pub fn paper_default() -> Self {
         SlowdownConfig {
             local_fraction: 0.25,
             policy: PolicyKind::Random,
             link: RemoteLink::pcie_x4(),
             fill: 2_000_000,
-            measured: 2_000_000,
+            measured: 1_000_000,
             seed: 0xB1ADE,
         }
     }
@@ -67,6 +79,12 @@ pub struct SlowdownResult {
     pub faults_per_cpu_sec: f64,
     /// Fractional slowdown (0.047 = 4.7%).
     pub slowdown: f64,
+    /// 95% batch-means half-width of the slowdown, in the same units;
+    /// `None` when fewer than two measured batches hold accesses.
+    pub half_width: Option<f64>,
+    /// Whether the local store was full when measurement began. Where it
+    /// was not, the slowdown understates the steady state.
+    pub filled: bool,
 }
 
 impl SlowdownResult {
@@ -80,10 +98,19 @@ impl SlowdownResult {
     /// rescales it. Used to price degraded modes (e.g. disk swap while
     /// the blade is down) without replaying the trace.
     pub fn with_link(&self, link: &RemoteLink) -> SlowdownResult {
+        let slowdown = self.faults_per_cpu_sec * link.fault_latency_secs();
+        // The half-width scales with the fault latency as the slowdown
+        // does. A replay without faults reads 0 in every batch, so its
+        // half-width is 0 over any link.
+        let scale = if self.slowdown > 0.0 {
+            slowdown / self.slowdown
+        } else {
+            0.0
+        };
         SlowdownResult {
-            stats: self.stats,
-            faults_per_cpu_sec: self.faults_per_cpu_sec,
-            slowdown: self.faults_per_cpu_sec * link.fault_latency_secs(),
+            slowdown,
+            half_width: self.half_width.map(|h| h * scale),
+            ..*self
         }
     }
 }
@@ -93,7 +120,7 @@ impl SlowdownResult {
 /// Sweeps evaluate many design points whose memshare configurations
 /// differ only in link or TCO parameters while sharing the expensive
 /// part — the multi-million-access two-level replay. This cache keys
-/// each replay by everything that determines its [`MissStats`] (trace
+/// each replay by everything that determines its [`SteadyStats`] (trace
 /// params + both seeds + store geometry + policy + access counts) and
 /// *excludes* the link, whose latency is applied analytically afterward:
 /// a PCIe point and a CBF point therefore share one replay.
@@ -109,7 +136,7 @@ pub struct ReplayMemo {
     /// Page columns by `(footprint, skew, seed, n)`, read only on a
     /// trace miss and left out of [`stats`](Self::stats).
     pages: MemoCache<Arc<Box<[u32]>>>,
-    runs: MemoCache<MissStats>,
+    runs: MemoCache<SteadyStats>,
     obs: Registry,
 }
 
@@ -256,7 +283,7 @@ pub fn estimate_slowdown_pooled(
         .push_u64(config.fill)
         .push_u64(config.measured)
         .finish();
-    let stats = memo.runs.get_or_compute(key, || {
+    let replay = memo.runs.get_or_compute(key, || {
         // Trace pages are scrambled modulo the footprint, so the store
         // can index them densely.
         let mut sim = TwoLevelSim::with_page_universe(
@@ -269,6 +296,7 @@ pub fn estimate_slowdown_pooled(
         let buf = memo.trace_par(params, trace_seed, total, pool);
         sim.run_steady_buf(&buf, config.fill, config.measured)
     });
+    let stats = replay.stats;
     let faults_per_cpu_sec = params.accesses_per_cpu_sec * stats.miss_ratio();
     let slowdown = faults_per_cpu_sec * config.link.fault_latency_secs();
     // Observability: recorded from the returned (cached or recomputed)
@@ -288,6 +316,10 @@ pub fn estimate_slowdown_pooled(
         stats,
         faults_per_cpu_sec,
         slowdown,
+        half_width: replay.miss_ratio_ci.map(|ci| {
+            params.accesses_per_cpu_sec * ci.half_width * config.link.fault_latency_secs()
+        }),
+        filled: replay.filled,
     })
 }
 
@@ -382,6 +414,35 @@ mod tests {
         let cbf = estimate_slowdown(WorkloadId::Ytube, &SlowdownConfig::paper_cbf()).unwrap();
         let ratio = pcie.slowdown / cbf.slowdown;
         assert!((3.0..=5.0).contains(&ratio), "ratio {ratio}");
+        // Re-costing over the CBF link rescales the half-width with the
+        // slowdown.
+        let moved = pcie.with_link(&RemoteLink::pcie_x4_cbf());
+        assert_eq!(moved.slowdown.to_bits(), cbf.slowdown.to_bits());
+        let (got, want) = (moved.half_width.unwrap(), cbf.half_width.unwrap());
+        assert!((got - want).abs() <= want * 1e-9, "{got} vs {want}");
+    }
+
+    /// At paper length a replay whose store is full states its precision,
+    /// and one whose store fills only during measurement (mapred-wc at
+    /// 1/2) or never (webmail at 1/2) says so.
+    #[test]
+    fn paper_length_replays_state_precision_and_fill() {
+        let at = |id, local_fraction| {
+            let config = SlowdownConfig {
+                local_fraction,
+                ..SlowdownConfig::paper_default()
+            };
+            estimate_slowdown(id, &config).unwrap()
+        };
+        for fraction in [1.0 / 16.0, 0.25] {
+            let r = at(WorkloadId::Websearch, fraction);
+            assert!(r.filled, "websearch at {fraction}");
+            let points = r.half_width.expect("20 batches") * 100.0;
+            assert!(points <= 0.025, "websearch at {fraction}: ±{points}");
+        }
+        for id in [WorkloadId::Webmail, WorkloadId::MapredWc] {
+            assert!(!at(id, 0.5).filled, "{id} at 1/2");
+        }
     }
 
     #[test]

@@ -5,10 +5,19 @@
 //! key-index kind and policy, that reads a materialized [`MemTraceBuf`]
 //! in place, touches each access and counts misses and writebacks as it
 //! goes.
+//!
+//! A steady-state replay ([`TwoLevelSim::run_steady_buf`]) splits its
+//! measured range into [`BATCHES`] consecutive kernel calls over one
+//! store, which replays the same stream as a single call, and reports a
+//! batch-means interval on the miss ratio beside the exact counts.
 
+use wcs_simcore::batchmeans::{batch_means_ci, ConfInterval};
 use wcs_workloads::memtrace::MemTraceBuf;
 
 use crate::policy::{PageStore, PolicyKind};
+
+/// Batches a steady-state replay splits its measured range into.
+pub const BATCHES: u64 = 20;
 
 /// Miss statistics from a trace replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -22,6 +31,14 @@ pub struct MissStats {
     pub writebacks: u64,
 }
 
+impl std::ops::AddAssign for MissStats {
+    fn add_assign(&mut self, other: MissStats) {
+        self.accesses += other.accesses;
+        self.misses += other.misses;
+        self.writebacks += other.writebacks;
+    }
+}
+
 impl MissStats {
     /// Fraction of touches that faulted.
     pub fn miss_ratio(&self) -> f64 {
@@ -31,6 +48,22 @@ impl MissStats {
             self.misses as f64 / self.accesses as f64
         }
     }
+}
+
+/// A steady-state replay: the measured statistics, their precision and
+/// whether the warm-up filled the store.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SteadyStats {
+    /// The measured range's statistics, summed over its batches: exactly
+    /// what one pass over the range counts.
+    pub stats: MissStats,
+    /// 95% batch-means interval on the miss ratio over [`BATCHES`]
+    /// batches; `None` when fewer than two batches hold accesses.
+    pub miss_ratio_ci: Option<ConfInterval>,
+    /// Whether the store was full when measurement began. Misses are
+    /// charged only once it is, so an unfilled store under-reports the
+    /// steady miss ratio and its interval does not describe one.
+    pub filled: bool,
 }
 
 /// The two-level (local + remote-blade) memory simulator.
@@ -98,11 +131,36 @@ impl TwoLevelSim {
     }
 
     /// Replays the first `fill` accesses of a materialized trace to warm
-    /// up, then measures over the next `measured`; the trace must hold
-    /// at least `fill + measured` accesses.
-    pub fn run_steady_buf(&mut self, buf: &MemTraceBuf, fill: u64, measured: u64) -> MissStats {
+    /// up, then measures over the next `measured` in [`BATCHES`]
+    /// consecutive batches, batch `k` ending at `fill + measured * k /
+    /// BATCHES`; the trace must hold at least `fill + measured` accesses.
+    /// The batches replay one stream, so the summed statistics equal a
+    /// single pass over the measured range.
+    pub fn run_steady_buf(&mut self, buf: &MemTraceBuf, fill: u64, measured: u64) -> SteadyStats {
         let _ = self.run_buf(buf, 0, fill);
-        self.run_buf(buf, fill as usize, measured)
+        let filled = self.local.len() == self.local.capacity();
+        let mut stats = MissStats::default();
+        let mut ratios = Vec::with_capacity(BATCHES as usize);
+        let mut start = fill;
+        for k in 1..=BATCHES {
+            let end = fill + measured * k / BATCHES;
+            let batch = self.run_buf(buf, start as usize, end - start);
+            if batch.accesses > 0 {
+                ratios.push(batch.miss_ratio());
+            }
+            stats += batch;
+            start = end;
+        }
+        let miss_ratio_ci = if ratios.len() >= 2 {
+            batch_means_ci(&ratios, ratios.len())
+        } else {
+            None
+        };
+        SteadyStats {
+            stats,
+            miss_ratio_ci,
+            filled,
+        }
     }
 
     /// Local capacity in pages.
@@ -136,7 +194,7 @@ mod tests {
         measured: u64,
     ) -> MissStats {
         let buf = MemTraceBuf::generate(p, seed, (fill + measured) as usize);
-        sim.run_steady_buf(&buf, fill, measured)
+        sim.run_steady_buf(&buf, fill, measured).stats
     }
 
     #[test]
@@ -251,6 +309,38 @@ mod tests {
             let mut sim = TwoLevelSim::new(1_200, policy, 31);
             let got = sim.run_buf(&buf, 0, 120_000);
             assert_eq!(got, want, "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn batched_steady_replay_counts_what_one_pass_counts() {
+        // 20 does not divide 40,007, so the batches differ in length and
+        // must still cover the measured range exactly once.
+        let p = small_params();
+        let (fill, measured) = (30_000u64, 40_007u64);
+        let buf = MemTraceBuf::generate(p, 41, (fill + measured) as usize);
+        for policy in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Clock] {
+            let sims = || {
+                [
+                    TwoLevelSim::new(1_500, policy, 3),
+                    TwoLevelSim::with_page_universe(1_500, policy, 3, p.footprint_pages),
+                ]
+            };
+            for (mut batched, mut single) in sims().into_iter().zip(sims()) {
+                let steady = batched.run_steady_buf(&buf, fill, measured);
+                let _ = single.run_buf(&buf, 0, fill);
+                let want = single.run_buf(&buf, fill as usize, measured);
+                assert_eq!(steady.stats, want, "{policy:?}");
+                assert_eq!(want.accesses, measured, "{policy:?}");
+                assert!(steady.filled, "{policy:?}");
+                let ci = steady.miss_ratio_ci.expect("every batch holds accesses");
+                assert_eq!(ci.batches, BATCHES as usize, "{policy:?}");
+                assert!(ci.contains(want.miss_ratio()), "{policy:?}: {ci:?}");
+            }
+            // One measured access fills one batch: no interval.
+            let one = TwoLevelSim::new(1_500, policy, 3).run_steady_buf(&buf, fill, 1);
+            assert_eq!(one.stats.accesses, 1, "{policy:?}");
+            assert_eq!(one.miss_ratio_ci, None, "{policy:?}");
         }
     }
 

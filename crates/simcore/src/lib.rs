@@ -45,6 +45,7 @@ pub mod event;
 mod rng;
 mod time;
 
+pub mod batchmeans;
 pub mod dist;
 pub mod error;
 pub mod faults;

@@ -338,9 +338,12 @@ impl Adapter for OpenLoop<'_> {
 ///    [`Priority::Low`] from the pure per-index stream
 ///    ([`priority_for`]) and offered to the token bucket; shed requests
 ///    resolve immediately and never queue.
-/// 2. **Breaker** — an open breaker fails arrivals fast (no queueing,
-///    no service); a blade outage's killed work trips it, so the
-///    breaker absorbs the arrival flood while the blade is down.
+/// 2. **Breaker** — work killed by an outage, or dispatched while the
+///    blade is down, counts as a failure and can trip it. While the
+///    blade is down every attempt takes the failure path anyway, so the
+///    breaker only counts failures; while it is open and the blade is
+///    up, it fails work fast (no queueing, no service) into the retry
+///    path.
 /// 3. **Retry budget** — failed work (outage kills, fast-fails) retries
 ///    after `retry.backoff_for` only while `retry.max_retries` and the
 ///    global budget both allow; otherwise it is dropped.

@@ -1,5 +1,5 @@
 //! Property-based tests over the extension substrates: FTL, blade
-//! directory, link contention, diurnal curves.
+//! directory, link contention, diurnal curves, batch means.
 //!
 //! Like `properties.rs`, these use a deterministic fixed-seed case
 //! generator instead of `proptest` (unavailable in the offline build).
@@ -8,6 +8,7 @@ use wcs::flashcache::ftl::Ftl;
 use wcs::memshare::contention::SharedLink;
 use wcs::memshare::directory::{BladeDirectory, ServerId};
 use wcs::memshare::link::RemoteLink;
+use wcs::simcore::batchmeans::batch_means_ci;
 use wcs::simcore::SimRng;
 use wcs::workloads::diurnal::DiurnalCurve;
 
@@ -101,5 +102,25 @@ fn diurnal_bounds() {
         assert!(v >= trough - 1e-9 && v <= 1.0 + 1e-9, "load {v}");
         assert!((c.mean_load() - (1.0 + trough) / 2.0).abs() < 1e-12);
         assert!((c.load_at(peak) - 1.0).abs() < 1e-9);
+    }
+}
+
+/// Batch-means intervals always contain their own grand mean and shrink
+/// (weakly) with more batches of iid data.
+#[test]
+fn batch_means_sane() {
+    let mut rng = SimRng::seed_from(0xBA7);
+    for _ in 0..CASES {
+        let n = 40 + rng.index(360);
+        let values: Vec<f64> = (0..n).map(|_| rng.uniform_range(0.0, 100.0)).collect();
+        let ci = batch_means_ci(&values, 10).unwrap();
+        assert!(ci.contains(ci.mean));
+        assert!(ci.half_width >= 0.0);
+        let grand = {
+            let per = values.len() / 10;
+            let used = &values[..per * 10];
+            used.iter().sum::<f64>() / used.len() as f64
+        };
+        assert!((ci.mean - grand).abs() < 1e-9);
     }
 }

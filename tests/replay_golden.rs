@@ -81,11 +81,13 @@ fn miss_stats_cases() -> Vec<(String, MissStats)> {
             for local in LOCAL {
                 let seed = 0xB1ADE + local as u64;
                 let measured = TRACE as u64 - FILL;
-                let open =
-                    TwoLevelSim::new(local, policy, seed).run_steady_buf(&buf, FILL, measured);
+                let open = TwoLevelSim::new(local, policy, seed)
+                    .run_steady_buf(&buf, FILL, measured)
+                    .stats;
                 let dense =
                     TwoLevelSim::with_page_universe(local, policy, seed, params.footprint_pages)
-                        .run_steady_buf(&buf, FILL, measured);
+                        .run_steady_buf(&buf, FILL, measured)
+                        .stats;
                 let case = format!("{id} {policy:?} local={local}");
                 assert_eq!(open, dense, "{case}: open vs dense index");
                 assert!(open.misses > 0 && open.writebacks > 0, "{case}: {open:?}");
